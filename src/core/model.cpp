@@ -2,9 +2,7 @@
 
 #include <map>
 #include <stdexcept>
-#include <string>
 
-#include "kern/backend.hpp"
 #include "nn/activations.hpp"
 #include "nn/conv1d.hpp"
 #include "nn/dropout.hpp"
@@ -60,10 +58,7 @@ M2AINetwork::M2AINetwork(const ModelConfig& model, FeatureMode mode, int num_tag
       aux_branch_->set_trace_label("cnn_aux");
     }
     merge_ = std::make_unique<nn::Sequential>();
-    auto merge_dense = std::make_unique<nn::Dense>(pseudo_flat_ + aux_flat_,
-                                                   model_.merge_features, rng);
-    merge_dense_ = merge_dense.get();
-    merge_->add(std::move(merge_dense));
+    merge_->emplace<nn::Dense>(pseudo_flat_ + aux_flat_, model_.merge_features, rng);
     merge_->emplace<nn::ReLU>();
     if (model_.dropout > 0.0) {
       merge_->emplace<nn::Dropout>(model_.dropout, rng.fork());
@@ -107,7 +102,7 @@ nn::Tensor M2AINetwork::raw_features(const SpectrumFrame& frame) const {
   return out;
 }
 
-nn::Tensor M2AINetwork::frame_joined(const SpectrumFrame& frame, bool train) {
+nn::Tensor M2AINetwork::frame_features(const SpectrumFrame& frame, bool train) {
   nn::Tensor joined;
   bool first = true;
   if (use_pseudo_) {
@@ -118,21 +113,12 @@ nn::Tensor M2AINetwork::frame_joined(const SpectrumFrame& frame, bool train) {
     const nn::Tensor b = aux_branch_->forward(frame.aux, train).flattened();
     joined = first ? b : nn::concat(joined, b);
   }
-  return joined;
+  return merge_->forward(joined, train);
 }
 
-nn::Tensor M2AINetwork::frame_features(const SpectrumFrame& frame, bool train) {
-  return merge_->forward(frame_joined(frame, train), train);
-}
-
-nn::Tensor M2AINetwork::frame_features_quant(const SpectrumFrame& frame) {
-  const nn::Tensor joined = frame_joined(frame, /*train=*/false);
-  nn::Tensor y = merge_dense_->forward_quant(joined, quant_ws_);
-  // The rest of merge_ in eval mode: ReLU, then Dropout as identity.
-  for (std::size_t i = 0; i < y.size(); ++i) {
-    if (y[i] < 0.0f) y[i] = 0.0f;
-  }
-  return y;
+nn::Tensor M2AINetwork::frame_input(const SpectrumFrame& frame, bool train) {
+  return model_.arch == NetworkArch::kLstmOnly ? raw_features(frame)
+                                               : frame_features(frame, train);
 }
 
 void M2AINetwork::frame_backward(const nn::Tensor& grad_features) {
@@ -153,21 +139,16 @@ void M2AINetwork::frame_backward(const nn::Tensor& grad_features) {
   }
 }
 
-std::vector<nn::Tensor> M2AINetwork::forward_sequence(const FrameSequence& frames,
-                                                      bool train) {
+std::vector<nn::Tensor> M2AINetwork::forward_sequence(const FrameSequence& frames) {
   M2AI_OBS_SPAN("nn_forward");
   std::vector<nn::Tensor> feats;
   feats.reserve(frames.size());
   for (const SpectrumFrame& frame : frames) {
-    if (model_.arch == NetworkArch::kLstmOnly) {
-      feats.push_back(raw_features(frame));
-    } else {
-      feats.push_back(frame_features(frame, train));
-    }
+    feats.push_back(frame_input(frame, /*train=*/true));
   }
   if (model_.arch == NetworkArch::kCnnOnly) return feats;
-  const std::vector<nn::Tensor> h1 = lstm1_->forward(feats, train);
-  return lstm2_->forward(h1, train);
+  const std::vector<nn::Tensor> h1 = lstm1_->forward(feats, /*train=*/true);
+  return lstm2_->forward(h1, /*train=*/true);
 }
 
 M2AINetwork::StepResult M2AINetwork::train_step(const Sample& sample) {
@@ -175,7 +156,7 @@ M2AINetwork::StepResult M2AINetwork::train_step(const Sample& sample) {
   if (t_len == 0) throw std::invalid_argument("M2AINetwork: empty sample");
   clear_caches();
 
-  const std::vector<nn::Tensor> states = forward_sequence(sample.frames, /*train=*/true);
+  const std::vector<nn::Tensor> states = forward_sequence(sample.frames);
 
   // Per-frame softmax head; loss averaged over frames.
   StepResult result;
@@ -222,36 +203,6 @@ M2AINetwork::StepResult M2AINetwork::train_step(const Sample& sample) {
   return result;
 }
 
-std::vector<nn::Tensor> M2AINetwork::eval_features(const FrameSequence& frames,
-                                                   bool quant) {
-  std::vector<nn::Tensor> feats;
-  feats.reserve(frames.size());
-  for (const SpectrumFrame& frame : frames) {
-    if (model_.arch == NetworkArch::kLstmOnly) {
-      feats.push_back(raw_features(frame));
-    } else if (quant) {
-      feats.push_back(frame_features_quant(frame));
-    } else {
-      feats.push_back(frame_features(frame, /*train=*/false));
-    }
-  }
-  return feats;
-}
-
-std::vector<double> M2AINetwork::proba_sum_from_states(
-    const std::vector<nn::Tensor>& states, bool quant) {
-  std::vector<double> prob_sum(static_cast<std::size_t>(num_classes_), 0.0);
-  for (const nn::Tensor& s : states) {
-    const nn::Tensor logits = quant ? head_->forward_quant(s, quant_ws_)
-                                    : head_->forward(s, /*train=*/false);
-    const nn::Tensor probs = nn::softmax(logits);
-    for (int c = 0; c < num_classes_; ++c) {
-      prob_sum[static_cast<std::size_t>(c)] += probs[static_cast<std::size_t>(c)];
-    }
-  }
-  return prob_sum;
-}
-
 int M2AINetwork::argmax_class(const std::vector<double>& probs) {
   int best = 0;
   for (std::size_t c = 1; c < probs.size(); ++c) {
@@ -260,20 +211,12 @@ int M2AINetwork::argmax_class(const std::vector<double>& probs) {
   return best;
 }
 
-std::vector<double> M2AINetwork::predict_proba(const FrameSequence& frames) {
-  const std::vector<nn::Tensor> states =
-      forward_sequence(frames, /*train=*/false);
-  std::vector<double> prob_sum = proba_sum_from_states(states, /*quant=*/false);
-  double total = 0.0;
-  for (double p : prob_sum) total += p;
-  if (total > 0.0) {
-    for (double& p : prob_sum) p /= total;
-  }
-  return prob_sum;
+int M2AINetwork::predict(const FrameSequence& frames) {
+  return predict_batch({&frames})[0];
 }
 
-int M2AINetwork::predict(const FrameSequence& frames) {
-  return argmax_class(predict_proba(frames));
+std::vector<double> M2AINetwork::predict_proba(const FrameSequence& frames) {
+  return predict_proba_batch({&frames})[0];
 }
 
 std::vector<int> M2AINetwork::predict_batch(
@@ -288,53 +231,49 @@ std::vector<std::vector<double>> M2AINetwork::predict_proba_batch(
     const std::vector<const FrameSequence*>& batch) {
   M2AI_OBS_SPAN("nn_batch");
   const std::size_t n = batch.size();
-  std::vector<std::vector<double>> out(n);
-  if (n == 0) return out;
 
-  // The int8 path: only when the int8 backend is active AND this network has
-  // calibrated int8 weights. LSTM gate matmuls, the merge Dense, and the
-  // head run int8; conv branches, gate nonlinearities, cell state, and
-  // softmax stay float (DESIGN.md §12).
-  const bool quant =
-      kern::active_backend_kind() == kern::BackendKind::kInt8 && quant_ready();
-  if (quant) quant_ws_.reset();
-
-  // Per-frame CNN/merge features stay per-sample (the conv kernels vectorize
-  // internally); the LSTM stack — the dominant per-stream cost — batches.
-  std::vector<std::vector<nn::Tensor>> feats(n);
+  // Per-frame CNN/merge features run per sequence; the serve spans show the
+  // pseudospectrum branch (cnn_pseudo) is most of this call's time. The LSTM
+  // stack batches across sequences.
+  std::vector<std::vector<nn::Tensor>> states(n);
   for (std::size_t i = 0; i < n; ++i) {
     if (batch[i] == nullptr) {
       throw std::invalid_argument("M2AINetwork::predict_batch: null sequence");
     }
-    feats[i] = eval_features(*batch[i], quant);
+    states[i].reserve(batch[i]->size());
+    for (const SpectrumFrame& frame : *batch[i]) {
+      states[i].push_back(frame_input(frame, /*train=*/false));
+    }
   }
 
-  std::vector<std::vector<nn::Tensor>> states(n);
-  if (model_.arch == NetworkArch::kCnnOnly) {
-    states = std::move(feats);
-  } else {
+  if (model_.arch != NetworkArch::kCnnOnly) {
     // forward_batch needs equal-length sequences; serving batches are
     // usually uniform (fixed window), so grouping is normally one group.
     std::map<std::size_t, std::vector<std::size_t>> by_len;
-    for (std::size_t i = 0; i < n; ++i) by_len[feats[i].size()].push_back(i);
+    for (std::size_t i = 0; i < n; ++i) by_len[states[i].size()].push_back(i);
     for (const auto& group : by_len) {
       const std::vector<std::size_t>& idxs = group.second;
       std::vector<const std::vector<nn::Tensor>*> in1;
       in1.reserve(idxs.size());
-      for (std::size_t i : idxs) in1.push_back(&feats[i]);
-      const std::vector<std::vector<nn::Tensor>> h1 =
-          quant ? lstm1_->forward_batch_quant(in1) : lstm1_->forward_batch(in1);
+      for (std::size_t i : idxs) in1.push_back(&states[i]);
+      const std::vector<std::vector<nn::Tensor>> h1 = lstm1_->forward_batch(in1);
       std::vector<const std::vector<nn::Tensor>*> in2;
       in2.reserve(h1.size());
       for (const std::vector<nn::Tensor>& h : h1) in2.push_back(&h);
-      std::vector<std::vector<nn::Tensor>> h2 =
-          quant ? lstm2_->forward_batch_quant(in2) : lstm2_->forward_batch(in2);
+      std::vector<std::vector<nn::Tensor>> h2 = lstm2_->forward_batch(in2);
       for (std::size_t b = 0; b < idxs.size(); ++b) states[idxs[b]] = std::move(h2[b]);
     }
   }
 
+  std::vector<std::vector<double>> out(n);
   for (std::size_t i = 0; i < n; ++i) {
-    std::vector<double> prob_sum = proba_sum_from_states(states[i], quant);
+    std::vector<double> prob_sum(static_cast<std::size_t>(num_classes_), 0.0);
+    for (const nn::Tensor& s : states[i]) {
+      const nn::Tensor probs = nn::softmax(head_->forward(s, /*train=*/false));
+      for (int c = 0; c < num_classes_; ++c) {
+        prob_sum[static_cast<std::size_t>(c)] += probs[static_cast<std::size_t>(c)];
+      }
+    }
     double total = 0.0;
     for (double p : prob_sum) total += p;
     if (total > 0.0) {
@@ -343,96 +282,6 @@ std::vector<std::vector<double>> M2AINetwork::predict_proba_batch(
     out[i] = std::move(prob_sum);
   }
   return out;
-}
-
-nn::QuantScales M2AINetwork::calibrate(
-    const std::vector<const FrameSequence*>& data,
-    const nn::CalibrationOptions& opts) {
-  if (data.empty()) {
-    throw std::invalid_argument("M2AINetwork::calibrate: empty calibration set");
-  }
-  // Activation trackers at every quantized matmul input. The LSTM xh packs
-  // [x_t; h_{t-1}], so each xh tracker observes both its input stream and
-  // the hidden states that feed back into it.
-  nn::RangeTracker merge_in, lstm1_xh, lstm2_xh, head_in;
-
-  for (const FrameSequence* frames : data) {
-    if (frames == nullptr) {
-      throw std::invalid_argument("M2AINetwork::calibrate: null sequence");
-    }
-    std::vector<nn::Tensor> feats;
-    feats.reserve(frames->size());
-    for (const SpectrumFrame& frame : *frames) {
-      if (model_.arch == NetworkArch::kLstmOnly) {
-        feats.push_back(raw_features(frame));
-      } else {
-        const nn::Tensor joined = frame_joined(frame, /*train=*/false);
-        merge_in.observe(joined);
-        feats.push_back(merge_->forward(joined, /*train=*/false));
-      }
-    }
-    if (model_.arch == NetworkArch::kCnnOnly) {
-      for (const nn::Tensor& f : feats) head_in.observe(f);
-      continue;
-    }
-    for (const nn::Tensor& f : feats) lstm1_xh.observe(f);
-    const std::vector<nn::Tensor> h1 = lstm1_->forward(feats, /*train=*/false);
-    for (const nn::Tensor& h : h1) {
-      lstm1_xh.observe(h);  // h_prev half of lstm1's next-step xh
-      lstm2_xh.observe(h);  // input half of lstm2's xh
-    }
-    const std::vector<nn::Tensor> h2 = lstm2_->forward(h1, /*train=*/false);
-    for (const nn::Tensor& h : h2) {
-      lstm2_xh.observe(h);
-      head_in.observe(h);
-    }
-  }
-
-  nn::QuantScales scales;
-  scales.mode = opts.mode;
-  scales.percentile = opts.percentile;
-  if (merge_dense_ != nullptr) scales.scales["act.merge_in"] = merge_in.scale(opts);
-  if (lstm1_) {
-    scales.scales["act.lstm1_xh"] = lstm1_xh.scale(opts);
-    scales.scales["act.lstm2_xh"] = lstm2_xh.scale(opts);
-  }
-  scales.scales["act.head_in"] = head_in.scale(opts);
-  // Weight scales, recorded per parameter for inspection/serialization.
-  // apply_quant_scales re-derives them deterministically from the float
-  // weights (same tensors, same mode), so these entries are informational —
-  // conv weights included even though conv stays float.
-  {
-    const std::vector<nn::Param*> ps = params();
-    for (std::size_t i = 0; i < ps.size(); ++i) {
-      nn::RangeTracker t;
-      t.observe(ps[i]->value);
-      scales.scales["w.p" + std::to_string(i) + "." + ps[i]->name] = t.scale(opts);
-    }
-  }
-  apply_quant_scales(scales);
-  return scales;
-}
-
-void M2AINetwork::apply_quant_scales(const nn::QuantScales& scales) {
-  nn::CalibrationOptions opts;
-  opts.mode = scales.mode;
-  opts.percentile = scales.percentile;
-  if (merge_dense_ != nullptr) {
-    merge_dense_->prepare_quant(scales.at("act.merge_in"), opts);
-  }
-  if (lstm1_) {
-    lstm1_->prepare_quant(scales.at("act.lstm1_xh"), opts);
-    lstm2_->prepare_quant(scales.at("act.lstm2_xh"), opts);
-  }
-  head_->prepare_quant(scales.at("act.head_in"), opts);
-  quant_scales_ = scales;
-}
-
-bool M2AINetwork::quant_ready() const {
-  if (!head_->quant_ready()) return false;
-  if (merge_dense_ != nullptr && !merge_dense_->quant_ready()) return false;
-  if (lstm1_ && (!lstm1_->quant_ready() || !lstm2_->quant_ready())) return false;
-  return true;
 }
 
 std::vector<nn::Param*> M2AINetwork::params() {
@@ -464,10 +313,6 @@ std::unique_ptr<M2AINetwork> M2AINetwork::clone() {
     dst[i]->value = src[i]->value;
     dst[i]->grad = src[i]->grad;
   }
-  // Calibration travels with the weights: re-preparing from the identical
-  // float parameters and the same scale table yields identical int8 state,
-  // so clones serve the int8 path without recalibrating.
-  if (!quant_scales_.empty()) copy->apply_quant_scales(quant_scales_);
   return copy;
 }
 

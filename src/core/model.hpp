@@ -7,10 +7,8 @@
 #include <memory>
 
 #include "core/frames.hpp"
-#include "kern/workspace.hpp"
 #include "nn/dense.hpp"
 #include "nn/lstm.hpp"
-#include "nn/quantize.hpp"
 #include "nn/sequential.hpp"
 #include "nn/softmax.hpp"
 
@@ -32,38 +30,22 @@ class M2AINetwork {
   StepResult train_step(const Sample& sample);
 
   // Inference: per-frame softmax probabilities summed over the sequence.
+  // Every entry point below is predict_proba_batch — predict and
+  // predict_proba are a batch of one — so a sequence's probabilities do not
+  // depend on which other sequences share its call.
   int predict(const FrameSequence& frames);
   // Per-class summed probabilities (normalized); useful for examples.
   std::vector<double> predict_proba(const FrameSequence& frames);
-  // Batched inference for the serving micro-batch: one label per sequence.
-  // Sequences are grouped by length internally and each group's LSTM stack
-  // runs batched (nn::Lstm::forward_batch) — one gemm per timestep across
-  // the group instead of one gemv per stream. Per-sample math is otherwise
-  // identical to predict(), so under the reference backend the labels are
-  // bitwise-identical to sequential predict() calls.
+  // One label per sequence (the per-row argmax of predict_proba_batch).
   std::vector<int> predict_batch(const std::vector<const FrameSequence*>& batch);
-  // Normalized per-class probability sums, one vector per sequence — the
-  // proba counterpart of predict_batch (labels are its per-row argmax).
+  // Normalized per-class probability sums, one vector per sequence. The
+  // per-frame CNN features run per sequence; sequences are grouped by length
+  // and each group's LSTM stack runs batched (nn::Lstm::forward_batch) — one
+  // gemm per timestep across the group. Under the reference backend that
+  // gemm accumulates every output in gemv's order, so each row is bitwise
+  // identical to running its sequence alone through nn::Lstm::forward.
   std::vector<std::vector<double>> predict_proba_batch(
       const std::vector<const FrameSequence*>& batch);
-
-  // Post-training int8 calibration (DESIGN.md §12): runs `data` through the
-  // FLOAT network in eval mode, tracks the input-activation range of every
-  // quantized matmul (merge Dense, both LSTM xh packs, softmax head) plus
-  // every weight tensor, derives per-tensor symmetric scales per `opts`
-  // (max-abs or percentile), and prepares the layers' int8 weights. Returns
-  // the scale table for serialization alongside the float checkpoint.
-  nn::QuantScales calibrate(const std::vector<const FrameSequence*>& data,
-                            const nn::CalibrationOptions& opts);
-  // Re-applies a previously saved scale table (nn::load_quant_scales) —
-  // int8 weights are rebuilt from the current float weights, so the float
-  // checkpoint must already be loaded. Throws when the table is missing a
-  // required activation scale (wrong architecture).
-  void apply_quant_scales(const nn::QuantScales& scales);
-  // True when every quantized layer has prepared int8 weights; predict_batch
-  // uses the int8 path only when this holds AND the int8 backend is active.
-  bool quant_ready() const;
-  const nn::QuantScales& quant_scales() const { return quant_scales_; }
 
   std::vector<nn::Param*> params();
   std::size_t num_parameters();
@@ -87,32 +69,22 @@ class M2AINetwork {
   const ModelConfig& model_config() const { return model_; }
 
  private:
-  // CNN branches + concat for one frame (the merge Dense's input).
-  nn::Tensor frame_joined(const SpectrumFrame& frame, bool train);
   // CNN branches + merge for one frame. Returns the per-frame feature
   // vector; with train=true, caches are pushed for the matching backward.
   nn::Tensor frame_features(const SpectrumFrame& frame, bool train);
-  // Quantized merge: conv branches stay float, the merge Dense matmul runs
-  // int8, ReLU applied in float (eval-mode Dropout is identity).
-  nn::Tensor frame_features_quant(const SpectrumFrame& frame);
   // Backward through merge + branches for the most recent un-popped
   // frame_features(train=true) call.
   void frame_backward(const nn::Tensor& grad_features);
 
   // Raw flattened frame (LSTM-only ablation input).
   nn::Tensor raw_features(const SpectrumFrame& frame) const;
+  // The LSTM input (or, for CNN-only, the head input) of one frame:
+  // raw_features for the LSTM-only ablation, frame_features otherwise.
+  nn::Tensor frame_input(const SpectrumFrame& frame, bool train);
 
-  // Sequence forward shared by train/predict paths.
-  std::vector<nn::Tensor> forward_sequence(const FrameSequence& frames, bool train);
+  // Training forward of one sequence (caches kept for train_step's backward).
+  std::vector<nn::Tensor> forward_sequence(const FrameSequence& frames);
 
-  // Per-frame feature stage of forward_sequence (everything before the
-  // LSTMs), eval mode; `quant` routes the merge Dense through int8.
-  std::vector<nn::Tensor> eval_features(const FrameSequence& frames, bool quant);
-  // Softmax-head tail shared by predict_proba and predict_batch: per-frame
-  // probabilities summed over the sequence (unnormalized); `quant` routes
-  // the head matmul through int8 (softmax stays float).
-  std::vector<double> proba_sum_from_states(const std::vector<nn::Tensor>& states,
-                                            bool quant);
   static int argmax_class(const std::vector<double>& probs);
 
   ModelConfig model_;
@@ -131,13 +103,9 @@ class M2AINetwork {
   std::unique_ptr<nn::Sequential> pseudo_branch_;
   std::unique_ptr<nn::Sequential> aux_branch_;
   std::unique_ptr<nn::Sequential> merge_;  // Dense + ReLU
-  nn::Dense* merge_dense_ = nullptr;  // the Dense inside merge_ (quant access)
   std::unique_ptr<nn::Lstm> lstm1_;
   std::unique_ptr<nn::Lstm> lstm2_;
   std::unique_ptr<nn::Dense> head_;
-
-  nn::QuantScales quant_scales_;  // empty until calibrate/apply_quant_scales
-  kern::Workspace quant_ws_;      // scratch for the quantized forwards
 };
 
 }  // namespace m2ai::core

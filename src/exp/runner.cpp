@@ -386,7 +386,7 @@ std::string suite_report_json(const Registry& registry, const SuiteResult& resul
   std::string json = "{\n  \"schema_version\": 1,\n  \"suite\": \"m2ai_bench\",\n";
   json += "  \"label\": \"" + obs::json_escape(label) + "\",\n";
   // Which kern backend produced these numbers — committed reports must be
-  // self-describing across ref/fast/int8 runs.
+  // self-describing across ref/fast runs.
   json += "  \"backend\": \"" + std::string(kern::active_backend_name()) + "\",\n";
   json += "  \"threads\": " + std::to_string(threads) + ",\n";
   json += "  \"scale\": " + num(scale) + ",\n";

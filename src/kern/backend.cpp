@@ -10,25 +10,6 @@ namespace m2ai::kern {
 
 namespace detail {
 std::atomic<const Backend*> g_active{nullptr};
-
-// Defined here — the determinism-pinned TU — so the requantize epilogue can
-// never be FMA-contracted, keeping s8 results bitwise-identical across every
-// table that points at these (ref and fast).
-void ref_gemv_s8(const std::int8_t* w, const std::int8_t* x, const float* bias,
-                 float* y, int rows, int cols, float scale) {
-  gemv_s8(w, x, bias, y, rows, cols, scale);
-}
-
-void ref_gemm_bias_s8(const std::int8_t* a, const std::int8_t* bt,
-                      const float* bias, float* c, int m, int k, int n,
-                      float scale) {
-  gemm_bias_s8(a, bt, bias, c, m, k, n, scale);
-}
-
-void ref_quantize_s8(const float* x, std::size_t n, float scale,
-                     std::int8_t* q) {
-  quantize_s8(x, n, scale, q);
-}
 }  // namespace detail
 
 const Backend& reference_backend() {
@@ -38,9 +19,6 @@ const Backend& reference_backend() {
       &gemm_bias,
       &conv1d_row_acc,
       &noise_projection,
-      &detail::ref_gemv_s8,
-      &detail::ref_gemm_bias_s8,
-      &detail::ref_quantize_s8,
   };
   return kReference;
 }
@@ -51,9 +29,6 @@ BackendKind set_backend(BackendKind requested) {
   if (requested == BackendKind::kFast && fast_backend_supported()) {
     table = &fast_backend();
     actual = BackendKind::kFast;
-  } else if (requested == BackendKind::kInt8 && int8_backend_supported()) {
-    table = &int8_backend();
-    actual = BackendKind::kInt8;
   }
   detail::g_active.store(table, std::memory_order_relaxed);
   return actual;
@@ -62,15 +37,13 @@ BackendKind set_backend(BackendKind requested) {
 BackendKind set_backend_by_name(const std::string& name) {
   if (name == "ref" || name == "reference") return set_backend(BackendKind::kReference);
   if (name == "fast") return set_backend(BackendKind::kFast);
-  if (name == "int8") return set_backend(BackendKind::kInt8);
   throw std::invalid_argument("unknown kernel backend '" + name +
-                              "' (expected 'ref', 'fast', or 'int8')");
+                              "' (expected 'ref' or 'fast')");
 }
 
 BackendKind active_backend_kind() {
   const Backend* b = detail::g_active.load(std::memory_order_relaxed);
   if (b == &fast_backend()) return BackendKind::kFast;
-  if (b == &int8_backend()) return BackendKind::kInt8;
   return BackendKind::kReference;
 }
 
@@ -89,7 +62,7 @@ BackendKind apply_env_backend() {
     return actual;
   } catch (const std::invalid_argument&) {
     util::log_warn() << "unknown M2AI_KERN_BACKEND value '" << env
-                     << "' (expected 'ref', 'fast', or 'int8'); "
+                     << "' (expected 'ref' or 'fast'); "
                      << "falling back to reference backend";
     return set_backend(BackendKind::kReference);
   }

@@ -15,35 +15,23 @@
 // for inference/serving and guarded by the equivalence suite
 // (tests/test_kern_backend.cpp).
 //
-// The INT8 backend (backend_int8.cpp) adds quantized gemv_s8/gemm_bias_s8
-// kernels: int32 accumulation with a single requantize-to-float epilogue.
-// Because integer accumulation is exact and the epilogue is one unfused
-// multiply-add, the scalar and AVX2 int8 kernels are BITWISE identical —
-// the epsilon story of the fast backend only applies to its float kernels.
-// The int8 table's float kernels alias the best supported float table (fast
-// when the CPU allows it, reference otherwise).
-//
-// Selection: reference by default; `M2AI_KERN_BACKEND={ref,fast,int8}` in
-// the environment or --backend on the tools overrides it. Requesting `fast`
-// or `int8` on a host whose CPU lacks the ISA the TU was compiled for falls
-// back to reference (CPUID-style runtime detection). set_backend is an
-// atomic pointer swap: call it before spawning worker threads; concurrent
-// dispatch through active() is always safe.
+// Selection: reference by default; `M2AI_KERN_BACKEND={ref,fast}` in the
+// environment or --backend on the tools overrides it. Requesting `fast` on a
+// host whose CPU lacks the ISA the TU was compiled for falls back to
+// reference (CPUID-style runtime detection). set_backend is an atomic
+// pointer swap: call it before spawning worker threads; concurrent dispatch
+// through active() is always safe.
 #pragma once
 
 #include <atomic>
 #include <complex>
-#include <cstddef>
-#include <cstdint>
 #include <string>
 
 namespace m2ai::kern {
 
 // Function-pointer table of every dispatched kernel. Signatures match the
 // inline reference kernels in kernels.hpp (gemm carries the per-column bias
-// of gemm_bias — the batched-inference form; the *_s8 kernels take the
-// combined weight*activation scale and, for gemm_bias_s8, the weight operand
-// in row-major [n, k] layout).
+// of gemm_bias — the batched-inference form).
 struct Backend {
   const char* name;
   void (*gemv)(const float* w, const float* x, const float* bias, float* y,
@@ -55,20 +43,9 @@ struct Backend {
   void (*noise_projection)(const std::complex<double>* un, int num_noise,
                            const std::complex<double>* steer, int num_bins,
                            int n, double* denom);
-  void (*gemv_s8)(const std::int8_t* w, const std::int8_t* x, const float* bias,
-                  float* y, int rows, int cols, float scale);
-  void (*gemm_bias_s8)(const std::int8_t* a, const std::int8_t* bt,
-                       const float* bias, float* c, int m, int k, int n,
-                       float scale);
-  // Symmetric activation quantization q = clamp(rne(x/scale), ±127) — the
-  // per-call producer of the *_s8 operands. RNE is mode-independent in the
-  // vector build and default-mode nearbyint in the scalar one, so this entry
-  // is bitwise-identical across tables just like the s8 matmuls.
-  void (*quantize_s8)(const float* x, std::size_t n, float scale,
-                      std::int8_t* q);
 };
 
-enum class BackendKind { kReference, kFast, kInt8 };
+enum class BackendKind { kReference, kFast };
 
 const Backend& reference_backend();
 // The fast table itself (AVX2/FMA when the TU was compiled with the ISA,
@@ -79,21 +56,15 @@ const Backend& fast_backend();
 // True when the fast table's code can run on this CPU (runtime CPUID check
 // against the ISA the fast TU was compiled for).
 bool fast_backend_supported();
-// The int8 table: quantized s8 kernels from backend_int8.cpp (AVX2 when the
-// TU was compiled with the ISA, scalar otherwise) plus the best supported
-// float kernels for everything that stays float. Use active(), not this.
-const Backend& int8_backend();
-// True when the int8 table's code can run on this CPU.
-bool int8_backend_supported();
 
-// Activates `requested` and returns the kind actually active: a fast/int8
-// request degrades to kReference when the matching *_supported() is false.
+// Activates `requested` and returns the kind actually active: a fast
+// request degrades to kReference when fast_backend_supported() is false.
 BackendKind set_backend(BackendKind requested);
-// Parses "ref"/"reference", "fast", or "int8" (throws std::invalid_argument
-// on anything else) and activates it; same fallback rule as set_backend.
+// Parses "ref"/"reference" or "fast" (throws std::invalid_argument on
+// anything else) and activates it; same fallback rule as set_backend.
 BackendKind set_backend_by_name(const std::string& name);
 BackendKind active_backend_kind();
-// Name of the table active() currently dispatches to ("ref"/"fast"/"int8").
+// Name of the table active() currently dispatches to ("ref"/"fast").
 const char* active_backend_name();
 
 // Applies M2AI_KERN_BACKEND from the environment and returns the kind
@@ -109,16 +80,6 @@ namespace detail {
 // hot path never depends on static-initialization order. A dynamic
 // initializer in backend.cpp applies M2AI_KERN_BACKEND on program start.
 extern std::atomic<const Backend*> g_active;
-// Scalar s8 kernels compiled in the determinism-pinned TU (backend.cpp).
-// The ref AND fast tables point here — the fast TU's -ffp-contract=fast
-// could fuse the requantize epilogue and break the s8 bitwise contract.
-void ref_gemv_s8(const std::int8_t* w, const std::int8_t* x, const float* bias,
-                 float* y, int rows, int cols, float scale);
-void ref_gemm_bias_s8(const std::int8_t* a, const std::int8_t* bt,
-                      const float* bias, float* c, int m, int k, int n,
-                      float scale);
-void ref_quantize_s8(const float* x, std::size_t n, float scale,
-                     std::int8_t* q);
 }  // namespace detail
 
 // The dispatch point: one relaxed atomic load per call site.

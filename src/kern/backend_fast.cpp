@@ -275,17 +275,12 @@ void fast_noise_projection(const std::complex<double>* un, int num_noise,
 }  // namespace
 
 const Backend& fast_backend() {
-  // s8 entries point at the determinism-pinned scalar wrappers in backend.cpp
-  // — this TU's -ffp-contract=fast would break the s8 bitwise contract.
   static const Backend kFast{
       "fast",
       &fast_gemv,
       &fast_gemm_bias,
       &fast_conv1d_row_acc,
       &fast_noise_projection,
-      &detail::ref_gemv_s8,
-      &detail::ref_gemm_bias_s8,
-      &detail::ref_quantize_s8,
   };
   return kFast;
 }

@@ -15,16 +15,8 @@
 #include <cmath>
 #include <complex>
 #include <cstddef>
-#include <cstdint>
 
 namespace m2ai::kern {
-
-// Largest reduction depth the int8 kernels accept: every product is bounded
-// by 127*127 = 16129, so any partial sum of k products (including the
-// per-lane partials of a vectorized build) stays within int32 as long as
-// k * 16129 <= INT32_MAX. Callers (nn/quantize.hpp) validate against this
-// before preparing quantized weights; the kernels assume it.
-inline constexpr int kMaxS8Depth = 2147483647 / (127 * 127);
 
 // y[r] = (bias ? bias[r] : 0) + sum_k w[r*cols + k] * x[k], k ascending.
 // Matches the naive Dense/LSTM-gate loops bit for bit.
@@ -143,72 +135,6 @@ inline void noise_projection(const std::complex<double>* un, int num_noise,
     }
     denom[bin] = d;
   }
-}
-
-// Quantized GEMV: y[r] = (bias ? bias[r] : 0) + scale * sum_k w[r,k] * x[k],
-// the sum taken in an int32 accumulator. Integer accumulation is exact, so —
-// unlike the float kernels — ANY summation order gives the same accumulator,
-// and the requantize epilogue is a single float multiply then add (never
-// fused: -ffp-contract=off everywhere this runs). Result: bitwise-identical
-// output from the scalar and vectorized implementations. `scale` is the
-// product of the weight and activation scales; cols must be <= kMaxS8Depth.
-inline void gemv_s8(const std::int8_t* w, const std::int8_t* x, const float* bias,
-                    float* y, int rows, int cols, float scale) {
-  for (int r = 0; r < rows; ++r) {
-    const std::int8_t* wr = w + static_cast<std::size_t>(r) * cols;
-    std::int32_t acc = 0;
-    for (int k = 0; k < cols; ++k) {
-      acc += static_cast<std::int32_t>(wr[k]) * static_cast<std::int32_t>(x[k]);
-    }
-    const float deq = scale * static_cast<float>(acc);
-    y[r] = (bias != nullptr ? bias[r] : 0.0f) + deq;
-  }
-}
-
-// Quantized GEMM + per-column bias:
-//   C[i,j] = (bias ? bias[j] : 0) + scale * sum_k A[i,k] * Bt[j,k]
-// NOTE the B operand is [n, k] ROW-major — i.e. the weight matrix in its
-// natural [out, in] layout, NOT transposed like the float gemm_bias. Integer
-// accumulation needs no ordering contract, and row-by-row dot products keep
-// both operands contiguous for the vectorized build. k <= kMaxS8Depth.
-inline void gemm_bias_s8(const std::int8_t* a, const std::int8_t* bt,
-                         const float* bias, float* c, int m, int k, int n,
-                         float scale) {
-  for (int i = 0; i < m; ++i) {
-    const std::int8_t* ai = a + static_cast<std::size_t>(i) * k;
-    float* ci = c + static_cast<std::size_t>(i) * n;
-    for (int j = 0; j < n; ++j) {
-      const std::int8_t* bj = bt + static_cast<std::size_t>(j) * k;
-      std::int32_t acc = 0;
-      for (int kk = 0; kk < k; ++kk) {
-        acc += static_cast<std::int32_t>(ai[kk]) * static_cast<std::int32_t>(bj[kk]);
-      }
-      const float deq = scale * static_cast<float>(acc);
-      ci[j] = (bias != nullptr ? bias[j] : 0.0f) + deq;
-    }
-  }
-}
-
-// Symmetric s8 quantization of one value given the PRECOMPUTED reciprocal
-// scale (0 means "scale was 0" and maps everything to 0). nearbyint under
-// the default rounding mode is round-to-nearest-even — ties like 2.5 go to
-// 2, 3.5 to 4, matching the static-RNE convert a vectorized build uses, so
-// scalar and SIMD quantization agree bitwise.
-inline std::int8_t quantize_one_s8(float x, float inv_scale) {
-  const float scaled = x * inv_scale;
-  float r = std::nearbyintf(scaled);
-  if (r > 127.0f) r = 127.0f;
-  if (r < -127.0f) r = -127.0f;
-  return static_cast<std::int8_t>(r);
-}
-
-// q[i] = clamp(round_to_nearest_even(x[i] / scale), -127, 127). The hot
-// activation-quantization step of the int8 inference path; dispatched via
-// the backend table so the int8 build can run it 8-wide.
-inline void quantize_s8(const float* x, std::size_t n, float scale,
-                        std::int8_t* q) {
-  const float inv = scale > 0.0f ? 1.0f / scale : 0.0f;
-  for (std::size_t i = 0; i < n; ++i) q[i] = quantize_one_s8(x[i], inv);
 }
 
 }  // namespace m2ai::kern

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <complex>
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 namespace m2ai::kern {
@@ -21,11 +20,6 @@ KernMicro measure_micro(const Backend& be) {
   const auto fill = [](std::vector<float>& v) {
     for (std::size_t i = 0; i < v.size(); ++i) {
       v[i] = 0.01f * static_cast<float>(i % 23) - 0.1f;
-    }
-  };
-  const auto fill_s8 = [](std::vector<std::int8_t>& v) {
-    for (std::size_t i = 0; i < v.size(); ++i) {
-      v[i] = static_cast<std::int8_t>(static_cast<int>(i % 255) - 127);
     }
   };
 
@@ -79,28 +73,6 @@ KernMicro measure_micro(const Backend& be) {
                           denom.data());
     });
   }
-  {
-    // Quantized LSTM gate GEMV, same [128, 64] shape as the float one.
-    const int rows = 128, cols = 64;
-    std::vector<std::int8_t> w(static_cast<std::size_t>(rows) * cols), x(cols);
-    std::vector<float> b(rows), y(rows);
-    fill_s8(w), fill_s8(x), fill(b);
-    m.gemv_s8_ns = time_ns(2000, [&] {
-      be.gemv_s8(w.data(), x.data(), b.data(), y.data(), rows, cols, 0.001f);
-    });
-  }
-  {
-    // Quantized micro-batch gate GEMM: 8 x 64 x 128 (weight row-major [n,k]).
-    const int mm = 8, kk = 64, nn = 128;
-    std::vector<std::int8_t> a(static_cast<std::size_t>(mm) * kk),
-        bt(static_cast<std::size_t>(nn) * kk);
-    std::vector<float> bias(nn), c(static_cast<std::size_t>(mm) * nn);
-    fill_s8(a), fill_s8(bt), fill(bias);
-    m.gemm_bias_s8_ns = time_ns(500, [&] {
-      be.gemm_bias_s8(a.data(), bt.data(), bias.data(), c.data(), mm, kk, nn,
-                      0.001f);
-    });
-  }
   return m;
 }
 
@@ -112,8 +84,6 @@ std::vector<std::pair<std::string, double>> micro_gauge_items(
       {prefix + "gemm_bias.ns_per_op", micro.gemm_bias_ns},
       {prefix + "conv1d_row.ns_per_op", micro.conv1d_row_ns},
       {prefix + "noise_projection.ns_per_op", micro.noise_projection_ns},
-      {prefix + "gemv_s8.ns_per_op", micro.gemv_s8_ns},
-      {prefix + "gemm_bias_s8.ns_per_op", micro.gemm_bias_s8_ns},
   };
 }
 

@@ -1,9 +1,9 @@
 // Per-backend kernel micro-benchmark at serving-shaped inputs (LSTM-gate
-// gemv, micro-batch gemm, CONV-E1 row, MUSIC scan, and the quantized s8
-// variants of the matmuls). Shared by tools/m2ai_serve and tools/m2ai_bench
-// so every committed bench JSON and printed summary is self-describing:
-// it names the active backend and carries its kern.<backend>.<kernel>.
-// ns_per_op gauges, comparable across ref/fast/int8.
+// gemv, micro-batch gemm, CONV-E1 row, MUSIC scan). Shared by
+// tools/m2ai_serve and tools/m2ai_bench so every committed bench JSON and
+// printed summary is self-describing: it names the active backend and
+// carries its kern.<backend>.<kernel>.ns_per_op gauges, comparable across
+// ref/fast.
 #pragma once
 
 #include <string>
@@ -19,8 +19,6 @@ struct KernMicro {
   double gemm_bias_ns = 0.0;
   double conv1d_row_ns = 0.0;
   double noise_projection_ns = 0.0;
-  double gemv_s8_ns = 0.0;
-  double gemm_bias_s8_ns = 0.0;
 };
 
 // Times each dispatched kernel of `be` and returns ns/op per kernel.

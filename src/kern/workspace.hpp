@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -29,13 +28,6 @@ class Workspace {
   float* alloc(std::size_t n);
   // Zero-initialized scratch (for accumulators).
   float* alloc_zero(std::size_t n);
-
-  // Uninitialized int8 scratch for the quantized kernels, carved from the
-  // float arena (4 int8 per float slot) — same 64-byte alignment and
-  // valid-until-reset lifetime as alloc().
-  std::int8_t* alloc_s8(std::size_t n) {
-    return reinterpret_cast<std::int8_t*>(alloc((n + 3) / 4));
-  }
 
   // Invalidate every pointer handed out since the last reset, keeping the
   // underlying blocks for reuse.

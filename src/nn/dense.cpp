@@ -49,45 +49,6 @@ void Dense::forward_batch(const float* x, int batch, float* y,
   kern::active().gemm_bias(x, wt, bias_.value.data(), y, batch, in_, out_);
 }
 
-void Dense::prepare_quant(float act_scale, const CalibrationOptions& opts) {
-  check_s8_depth(in_, "Dense::prepare_quant");
-  wq_ = quantize_tensor(weight_.value, opts);
-  act_scale_ = act_scale;
-}
-
-void Dense::clear_quant() {
-  wq_ = QuantTensor{};
-  act_scale_ = 0.0f;
-}
-
-Tensor Dense::forward_quant(const Tensor& input, kern::Workspace& ws) const {
-  if (!quant_ready()) throw std::logic_error("Dense::forward_quant: not prepared");
-  const Tensor x = input.rank() == 1 ? input : input.flattened();
-  if (static_cast<int>(x.size()) != in_) {
-    throw std::invalid_argument("Dense::forward_quant: expected " +
-                                std::to_string(in_) + " features, got " +
-                                x.shape_string());
-  }
-  std::int8_t* xq = ws.alloc_s8(static_cast<std::size_t>(in_));
-  kern::active().quantize_s8(x.data(), static_cast<std::size_t>(in_), act_scale_, xq);
-  Tensor y({out_});
-  kern::active().gemv_s8(wq_.q.data(), xq, bias_.value.data(), y.data(), out_,
-                         in_, wq_.scale * act_scale_);
-  return y;
-}
-
-void Dense::forward_batch_quant(const float* x, int batch, float* y,
-                                kern::Workspace& ws) const {
-  if (!quant_ready()) throw std::logic_error("Dense::forward_batch_quant: not prepared");
-  const std::size_t total = static_cast<std::size_t>(batch) * in_;
-  std::int8_t* xq = ws.alloc_s8(total);
-  kern::active().quantize_s8(x, total, act_scale_, xq);
-  // gemm_bias_s8 takes the weight in its natural [out, in] row-major layout
-  // — no transpose scratch, unlike the float forward_batch.
-  kern::active().gemm_bias_s8(xq, wq_.q.data(), bias_.value.data(), y, batch,
-                              in_, out_, wq_.scale * act_scale_);
-}
-
 Tensor Dense::backward(const Tensor& grad_output) {
   if (cache_.empty()) throw std::logic_error("Dense::backward: no cached forward");
   if (static_cast<int>(grad_output.size()) != out_) {

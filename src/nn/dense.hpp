@@ -5,7 +5,6 @@
 
 #include "kern/workspace.hpp"
 #include "nn/layer.hpp"
-#include "nn/quantize.hpp"
 
 namespace m2ai::nn {
 
@@ -28,29 +27,12 @@ class Dense : public Layer {
   // to sequential forward(·, false) calls under the reference backend.
   void forward_batch(const float* x, int batch, float* y, kern::Workspace& ws) const;
 
-  // Post-training quantization (nn/quantize.hpp): snapshots int8 weights
-  // from the current float weights and records the calibrated input
-  // activation scale. The quantized forwards run the matmul through the
-  // active backend's s8 kernels (int32 accumulation, one requantize); the
-  // bias add stays float. Evaluation-only; weights updated after this call
-  // are not reflected until prepare_quant runs again.
-  void prepare_quant(float act_scale, const CalibrationOptions& opts);
-  void clear_quant();
-  bool quant_ready() const { return wq_.ready(); }
-  float act_scale() const { return act_scale_; }
-
-  Tensor forward_quant(const Tensor& input, kern::Workspace& ws) const;
-  void forward_batch_quant(const float* x, int batch, float* y,
-                           kern::Workspace& ws) const;
-
  private:
   int in_;
   int out_;
   Param weight_;  // [out, in]
   Param bias_;    // [out]
   std::deque<Tensor> cache_;  // flattened inputs, LIFO
-  QuantTensor wq_;            // [out, in] — gemm_bias_s8's row-major operand
-  float act_scale_ = 0.0f;
 };
 
 }  // namespace m2ai::nn

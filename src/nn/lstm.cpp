@@ -176,90 +176,6 @@ std::vector<std::vector<Tensor>> Lstm::forward_batch(
   return outputs;
 }
 
-void Lstm::prepare_quant(float xh_scale, const CalibrationOptions& opts) {
-  check_s8_depth(input_size_ + hidden_size_, "Lstm::prepare_quant");
-  wq_ = quantize_tensor(weight_.value, opts);
-  xh_scale_ = xh_scale;
-}
-
-void Lstm::clear_quant() {
-  wq_ = QuantTensor{};
-  xh_scale_ = 0.0f;
-}
-
-std::vector<std::vector<Tensor>> Lstm::forward_batch_quant(
-    const std::vector<const std::vector<Tensor>*>& seqs) {
-  if (!quant_ready()) {
-    throw std::logic_error("Lstm::forward_batch_quant: not prepared");
-  }
-  const std::size_t batch = seqs.size();
-  if (batch == 0) return {};
-  const std::size_t t_len = seqs[0]->size();
-  for (const std::vector<Tensor>* s : seqs) {
-    if (s == nullptr || s->size() != t_len) {
-      throw std::invalid_argument("Lstm::forward_batch_quant: unequal sequence lengths");
-    }
-  }
-  const int h_size = hidden_size_;
-  const int in_size = input_size_;
-  const int joint = in_size + h_size;
-  const int rows = 4 * h_size;
-  const float combined_scale = wq_.scale * xh_scale_;
-
-  scratch_ws_.reset();
-  // No weight transpose: gemm_bias_s8 consumes the [4H, joint] row-major
-  // weight directly. Per timestep the packed float [x; h_prev] rows are
-  // quantized with the calibrated xh scale, the gate pre-activations come
-  // back already dequantized to float, and the nonlinearity/cell block below
-  // is byte-for-byte the float forward_batch code.
-  float* xh = scratch_ws_.alloc(batch * static_cast<std::size_t>(joint));
-  std::int8_t* xhq = scratch_ws_.alloc_s8(batch * static_cast<std::size_t>(joint));
-  float* z = scratch_ws_.alloc(batch * static_cast<std::size_t>(rows));
-  float* c = scratch_ws_.alloc_zero(batch * static_cast<std::size_t>(h_size));
-  const float* zeros = scratch_ws_.alloc_zero(static_cast<std::size_t>(h_size));
-
-  std::vector<const float*> h_prev(batch, zeros);
-  std::vector<std::vector<Tensor>> outputs(batch);
-  for (std::size_t b = 0; b < batch; ++b) outputs[b].reserve(t_len);
-
-  for (std::size_t t = 0; t < t_len; ++t) {
-    for (std::size_t b = 0; b < batch; ++b) {
-      const Tensor& input = (*seqs[b])[t];
-      const Tensor x = input.rank() == 1 ? input : input.flattened();
-      if (static_cast<int>(x.size()) != in_size) {
-        throw std::invalid_argument("Lstm::forward_batch_quant: bad input size " +
-                                    x.shape_string());
-      }
-      float* row = xh + b * static_cast<std::size_t>(joint);
-      std::memcpy(row, x.data(), static_cast<std::size_t>(in_size) * sizeof(float));
-      std::memcpy(row + in_size, h_prev[b],
-                  static_cast<std::size_t>(h_size) * sizeof(float));
-    }
-    kern::active().quantize_s8(xh, batch * static_cast<std::size_t>(joint),
-                               xh_scale_, xhq);
-    kern::active().gemm_bias_s8(xhq, wq_.q.data(), bias_.value.data(), z,
-                                static_cast<int>(batch), joint, rows,
-                                combined_scale);
-    for (std::size_t b = 0; b < batch; ++b) {
-      float* zb = z + b * static_cast<std::size_t>(rows);
-      float* cb = c + b * static_cast<std::size_t>(h_size);
-      for (int u = 0; u < h_size; ++u) zb[u] = sigmoid(zb[u]);
-      for (int u = 0; u < h_size; ++u) zb[h_size + u] = sigmoid(zb[h_size + u]);
-      for (int u = 0; u < h_size; ++u) zb[2 * h_size + u] = std::tanh(zb[2 * h_size + u]);
-      for (int u = 0; u < h_size; ++u) zb[3 * h_size + u] = sigmoid(zb[3 * h_size + u]);
-      Tensor h_new({h_size});
-      float* h = h_new.data();
-      for (int u = 0; u < h_size; ++u) {
-        cb[u] = zb[h_size + u] * cb[u] + zb[u] * zb[2 * h_size + u];
-        h[u] = zb[3 * h_size + u] * std::tanh(cb[u]);
-      }
-      outputs[b].push_back(std::move(h_new));
-      h_prev[b] = outputs[b].back().data();
-    }
-  }
-  return outputs;
-}
-
 std::vector<Tensor> Lstm::backward(const std::vector<Tensor>& grad_outputs) {
   if (steps_.size() != grad_outputs.size()) {
     throw std::logic_error("Lstm::backward: cache/grad length mismatch");

@@ -14,7 +14,6 @@
 
 #include "kern/workspace.hpp"
 #include "nn/layer.hpp"
-#include "nn/quantize.hpp"
 
 namespace m2ai::nn {
 
@@ -40,18 +39,6 @@ class Lstm {
   // per sequence (gemm_bias accumulates each element in gemv's order).
   // Keeps no caches; backward() after this throws on the cache mismatch.
   std::vector<std::vector<Tensor>> forward_batch(
-      const std::vector<const std::vector<Tensor>*>& seqs);
-
-  // Post-training quantization: int8 gate weights + the calibrated scale of
-  // the packed [x; h_prev] activation. forward_batch_quant runs the gate
-  // matmul of every timestep through gemm_bias_s8 (int32 accumulation, one
-  // requantize); gate nonlinearities, the cell state, and h stay float.
-  void prepare_quant(float xh_scale, const CalibrationOptions& opts);
-  void clear_quant();
-  bool quant_ready() const { return wq_.ready(); }
-  float xh_scale() const { return xh_scale_; }
-
-  std::vector<std::vector<Tensor>> forward_batch_quant(
       const std::vector<const std::vector<Tensor>*>& seqs);
 
   std::vector<Param*> params() { return {&weight_, &bias_}; }
@@ -85,8 +72,6 @@ class Lstm {
   // pattern — cannot clobber the pending caches.
   kern::Workspace train_ws_;
   kern::Workspace scratch_ws_;
-  QuantTensor wq_;  // [4H, I+H] row-major — gemm_bias_s8's weight operand
-  float xh_scale_ = 0.0f;
 };
 
 }  // namespace m2ai::nn

@@ -4,7 +4,6 @@
 #include <string>
 #include <utility>
 
-#include "kern/backend.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timeline.hpp"
 #include "obs/trace.hpp"
@@ -62,6 +61,10 @@ int Service::add_stream(const dsp::PhaseCalibrator* calibrator, double t_begin) 
 
 void Service::start() {
   if (started_) throw std::logic_error("Service::start: already started");
+  // finish() before start() ends the service for good: threads started now
+  // would never be joined (finish() is idempotent), and destroying a
+  // joinable std::thread terminates the process.
+  if (finished_) throw std::logic_error("Service::start: already finished");
   started_ = true;
   const int workers = serve_.dsp_workers;
   requests_.reserve(static_cast<std::size_t>(workers));
@@ -250,37 +253,16 @@ void Service::nn_loop() {
       std::this_thread::yield();
       continue;
     }
-    M2AI_OBS_SPAN("serve.nn_batch");
+    obs::ScopedSpan span("serve.nn_batch");
+    span.arg("requests", static_cast<std::int64_t>(batch.size()));
     batches_total_.fetch_add(1, std::memory_order_relaxed);
-    // Under the fast backend the whole micro-batch runs as one batched
-    // inference — one gemm across streams per LSTM timestep. The reference
-    // path keeps the per-request predict() calls below so its serving
-    // behavior stays identical to the pre-backend code. The int8 backend
-    // batches even a single request: predict_batch is where the quantized
-    // forward lives, and the s8 gemm wins at any batch size.
-    std::vector<int> batch_labels;
-    const kern::BackendKind kind = kern::active_backend_kind();
-    if ((batch.size() > 1 && kind == kern::BackendKind::kFast) ||
-        (kind == kern::BackendKind::kInt8 && network_->quant_ready())) {
-      std::vector<const core::FrameSequence*> seqs;
-      seqs.reserve(batch.size());
-      for (const Request& r : batch) seqs.push_back(&r.frames);
-      obs::ScopedSpan span("serve.predict_batch");
-      span.arg("requests", static_cast<std::int64_t>(batch.size()));
-      batch_labels = network_->predict_batch(seqs);
-    }
+    std::vector<const core::FrameSequence*> seqs;
+    seqs.reserve(batch.size());
+    for (const Request& r : batch) seqs.push_back(&r.frames);
+    const std::vector<int> labels = network_->predict_batch(seqs);
     for (std::size_t bi = 0; bi < batch.size(); ++bi) {
-      Request& request = batch[bi];
+      const Request& request = batch[bi];
       obs::timeline_flow_end("serve.request", request.flow);
-      int label = 0;
-      if (!batch_labels.empty()) {
-        label = batch_labels[bi];
-      } else {
-        obs::ScopedSpan span("serve.predict");
-        span.arg("stream", request.stream);
-        span.arg("frame", static_cast<std::int64_t>(request.frame_index));
-        label = network_->predict(request.frames);
-      }
       const double latency_ms =
           static_cast<double>(obs::timeline_now_ns() - request.enqueue_ns) / 1e6;
       // record_always: ServiceStats and the bench summary need the latency
@@ -289,7 +271,7 @@ void Service::nn_loop() {
       predictions.add();
       predictions_total_.fetch_add(1, std::memory_order_relaxed);
       streams_[static_cast<std::size_t>(request.stream)]->predictions.push_back(
-          Prediction{request.frame_index, label, latency_ms});
+          Prediction{request.frame_index, labels[bi], latency_ms});
     }
   }
 }

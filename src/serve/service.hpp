@@ -16,16 +16,17 @@
 // the steady-state path.
 //
 // Determinism: a stream's predictions depend only on its own report
-// sequence — assembly is per-stream state, the network is pure per predict()
-// call, and the single NN thread serializes calls — so the labels for N
-// streams replaying the same reports are identical at any worker count or
-// stream count (ServeService.DeterministicAcrossStreamCounts).
+// sequence — assembly is per-stream state, each row of a predict_batch()
+// call is independent of the rows beside it, and the single NN thread
+// serializes calls — so the labels for N streams replaying the same reports
+// are identical at any worker count or stream count
+// (ServeService.DeterministicAcrossStreamCounts).
 //
 // Latency accounting: every report is stamped at enqueue; a prediction's
 // end-to-end latency runs from the stamp of the report that closed its
-// window to the moment predict() returns, recorded in the
-// "serve.e2e_ms" histogram (recorded even when the obs switch is off, so
-// ServiceStats is always meaningful).
+// window to the moment its micro-batch's predict_batch() returns, recorded
+// in the "serve.e2e_ms" histogram (recorded even when the obs switch is off,
+// so ServiceStats is always meaningful).
 #pragma once
 
 #include <atomic>

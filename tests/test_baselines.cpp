@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 
 #include "ml/adaboost.hpp"
 #include "ml/dataset.hpp"
@@ -63,6 +64,11 @@ struct Factory {
   std::unique_ptr<Classifier> (*make)();
 };
 
+// Print the classifier name, not the struct bytes: the bytes hold pointers
+// that move with address-space randomisation, and ctest names each case by
+// this printed value.
+void PrintTo(const Factory& factory, std::ostream* os) { *os << factory.name; }
+
 std::unique_ptr<Classifier> mk_knn() { return std::make_unique<KnnClassifier>(5); }
 std::unique_ptr<Classifier> mk_lsvm() { return std::make_unique<LinearSvm>(); }
 std::unique_ptr<Classifier> mk_rsvm() { return std::make_unique<RbfSvm>(); }
@@ -105,8 +111,7 @@ INSTANTIATE_TEST_SUITE_P(
                       Factory{"rbf_svm", mk_rsvm}, Factory{"gp", mk_gp},
                       Factory{"tree", mk_tree}, Factory{"forest", mk_forest},
                       Factory{"adaboost", mk_ada}, Factory{"naive_bayes", mk_nb},
-                      Factory{"qda", mk_qda}, Factory{"mlp", mk_mlp}),
-    [](const ::testing::TestParamInfo<Factory>& info) { return info.param.name; });
+                      Factory{"qda", mk_qda}, Factory{"mlp", mk_mlp}));
 
 TEST(NonlinearBaselines, SolveRingsWhereLinearFails) {
   const Dataset train = make_rings(150, 5);

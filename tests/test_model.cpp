@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "kern/backend.hpp"
 #include "nn/gradcheck.hpp"
 #include "nn/optimizer.hpp"
 
@@ -69,6 +70,34 @@ TEST_P(AllArchitectures, GradientsAccumulate) {
   double grad_norm = 0.0;
   for (nn::Param* p : net.params()) grad_norm += p->grad.l2_norm();
   EXPECT_GT(grad_norm, 0.0);
+}
+
+// Every prediction comes from predict_proba_batch, and predict_proba is a
+// batch of one: a sequence's probabilities must not depend on the sequences
+// sharing its call, under the epsilon-equivalent fast kernels as well.
+TEST_P(AllArchitectures, PredictProbaEqualsItsBatchRowBitwise) {
+  struct BackendGuard {
+    kern::BackendKind saved = kern::active_backend_kind();
+    ~BackendGuard() { kern::set_backend(saved); }
+  } guard;
+  util::Rng rng(6);
+  ModelConfig m;
+  m.arch = GetParam();
+  M2AINetwork net(m, FeatureMode::kM2AI, kTags, kAntennas, kClasses);
+  const Sample x = random_sample(FeatureMode::kM2AI, 6, 0, rng);
+  const Sample y = random_sample(FeatureMode::kM2AI, 6, 1, rng);
+  const Sample z = random_sample(FeatureMode::kM2AI, 6, 2, rng);
+  for (const kern::BackendKind kind :
+       {kern::BackendKind::kReference, kern::BackendKind::kFast}) {
+    if (kern::set_backend(kind) != kind) continue;  // fast unsupported here
+    const std::vector<double> alone = net.predict_proba(x.frames);
+    const std::vector<double> row =
+        net.predict_proba_batch({&x.frames, &y.frames, &z.frames})[0];
+    ASSERT_EQ(alone.size(), row.size());
+    for (std::size_t c = 0; c < alone.size(); ++c) {
+      EXPECT_EQ(alone[c], row[c]) << kern::active_backend_name() << ", class " << c;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Archs, AllArchitectures,

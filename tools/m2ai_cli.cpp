@@ -18,7 +18,6 @@
 #include "core/experiment.hpp"
 #include "dsp/music.hpp"
 #include "kern/backend.hpp"
-#include "nn/quantize.hpp"
 #include "nn/serialize.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
@@ -42,7 +41,6 @@ int usage() {
                "  spectrum --activity N [--seed S]\n"
                "  train    [--samples N] [--epochs E] [--persons P] [--tags T]\n"
                "           [--antennas A] [--seed S] [--model FILE] [--verbose]\n"
-               "           [--quant-mode max_abs|percentile] [--quant-pct P]\n"
                "  eval     --model FILE [--samples N] [--seed S]\n"
                "all commands accept --threads N (worker threads for dataset\n"
                "generation, training, and evaluation; default: all hardware\n"
@@ -50,11 +48,9 @@ int usage() {
                "--metrics-out FILE (JSON, or CSV if FILE ends in .csv),\n"
                "--trace (span tree on stderr at exit),\n"
                "--trace-out FILE (Chrome trace-event JSON for ui.perfetto.dev),\n"
-               "and --backend ref|fast|int8 (kernel backend for inference;\n"
-               "fast uses SIMD and falls back to ref without AVX2/FMA; int8\n"
-               "runs quantized matmuls — train writes FILE.quant calibration\n"
-               "scales next to --model FILE, eval --backend int8 loads them;\n"
-               "training always runs ref — env override M2AI_KERN_BACKEND)\n");
+               "and --backend ref|fast (kernel backend for inference; fast\n"
+               "uses SIMD and falls back to ref without AVX2/FMA; training\n"
+               "always runs ref — env override M2AI_KERN_BACKEND)\n");
   return 2;
 }
 
@@ -135,8 +131,7 @@ int cmd_spectrum(const util::Args& args) {
 int cmd_train(const util::Args& args) {
   args.require_known({"samples", "epochs", "persons", "tags", "antennas", "seed",
                       "model", "verbose", "distance", "windows", "metrics-out",
-                      "trace", "trace-out", "threads", "backend", "quant-mode",
-                      "quant-pct"});
+                      "trace", "trace-out", "threads", "backend"});
   const core::ExperimentConfig config = config_from(args);
   util::log_info() << "simulating " << config.samples_per_class << " samples/class";
   const core::DataSplit split = core::generate_dataset(config);
@@ -154,21 +149,6 @@ int cmd_train(const util::Args& args) {
     const std::string path = args.get("model", "m2ai_model.bin");
     nn::save_params(path, network->params());
     std::printf("checkpoint saved to %s\n", path.c_str());
-
-    // Calibrate int8 scales on the training split and save them next to the
-    // float checkpoint, so `eval --backend int8` can load both.
-    nn::CalibrationOptions quant_opts;
-    quant_opts.mode = nn::calib_mode_from_name(args.get("quant-mode", "max_abs"));
-    quant_opts.percentile = args.get_double("quant-pct", 99.9);
-    std::vector<const core::FrameSequence*> calib;
-    calib.reserve(split.train.size());
-    for (const core::Sample& s : split.train) calib.push_back(&s.frames);
-    const nn::QuantScales scales = network->calibrate(calib, quant_opts);
-    const std::string quant_path = path + ".quant";
-    nn::save_quant_scales(quant_path, scales);
-    std::printf("int8 calibration scales (%zu sequences, mode %s) saved to %s\n",
-                calib.size(), nn::calib_mode_name(quant_opts.mode),
-                quant_path.c_str());
   }
   return 0;
 }
@@ -186,23 +166,13 @@ int cmd_eval(const util::Args& args) {
                             config.pipeline.num_antennas, sim::num_activities());
   nn::load_params(args.get("model", ""), network.params());
 
-  // Under the int8 backend the quantized forward needs the calibration
-  // scales written by `train --model FILE` (FILE.quant).
-  if (kern::active_backend_kind() == kern::BackendKind::kInt8) {
-    const std::string quant_path = args.get("model", "") + ".quant";
-    network.apply_quant_scales(nn::load_quant_scales(quant_path));
-    std::printf("int8 scales loaded from %s\n", quant_path.c_str());
-  }
-
   core::Pipeline pipeline(config.pipeline, config.seed);
   core::ConfusionMatrix cm(sim::num_activities());
   const int per_class = std::max(1, config.samples_per_class / 4);
   for (int activity = 1; activity <= sim::num_activities(); ++activity) {
     for (int i = 0; i < per_class; ++i) {
       const core::Sample s = pipeline.simulate_sample(activity);
-      // predict_batch is where the quantized forward lives; under ref/fast
-      // a single-sequence batch is label-identical to predict().
-      cm.add(s.label, network.predict_batch({&s.frames})[0]);
+      cm.add(s.label, network.predict(s.frames));
     }
   }
   std::vector<std::string> labels;

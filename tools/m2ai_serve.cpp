@@ -30,7 +30,6 @@
 #include "core/pipeline.hpp"
 #include "kern/backend.hpp"
 #include "kern/micro.hpp"
-#include "nn/quantize.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timeline.hpp"
@@ -49,8 +48,7 @@ int usage() {
                "                  [--samples K] [--workers W] [--batch B]\n"
                "                  [--producers P] [--activities A] [--windows T]\n"
                "                  [--persons P] [--tags T] [--seed S] [--wire]\n"
-               "                  [--wire-records R] [--backend ref|fast|int8]\n"
-               "                  [--quant-mode max_abs|percentile] [--quant-pct P]\n"
+               "                  [--wire-records R] [--backend ref|fast]\n"
                "                  [--bench-out FILE]\n"
                "                  [--metrics-out FILE] [--trace-out FILE]\n"
                "  --streams N    simulated reader streams (default 8)\n"
@@ -64,13 +62,9 @@ int usage() {
                "                 ingest via the wire-protocol parser (src/proto)\n"
                "  --wire-records R  tag records per inventory frame (default 1)\n"
                "  --backend B    kernel backend for inference: ref (default,\n"
-               "                 bitwise-deterministic), fast (SIMD + batched\n"
-               "                 NN micro-batch; falls back to ref without\n"
-               "                 AVX2/FMA), or int8 (quantized matmuls, network\n"
-               "                 calibrated in-process on the source samples).\n"
-               "                 Env override: M2AI_KERN_BACKEND\n"
-               "  --quant-mode M int8 calibration mode: max_abs (default) or\n"
-               "                 percentile (--quant-pct, default 99.9)\n");
+               "                 bitwise-deterministic) or fast (SIMD; falls\n"
+               "                 back to ref without AVX2/FMA).\n"
+               "                 Env override: M2AI_KERN_BACKEND\n");
   return 2;
 }
 
@@ -96,8 +90,7 @@ int main(int argc, char** argv) {
     args.require_known({"streams", "rate", "duration", "samples", "workers",
                         "batch", "producers", "activities", "windows", "persons",
                         "tags", "seed", "wire", "wire-records", "backend",
-                        "quant-mode", "quant-pct", "bench-out", "metrics-out",
-                        "trace-out", "help"});
+                        "bench-out", "metrics-out", "trace-out", "help"});
   } catch (const std::exception& e) {
     std::fprintf(stderr, "m2ai_serve: %s\n", e.what());
     return usage();
@@ -178,24 +171,6 @@ int main(int argc, char** argv) {
       model_config, pipeline_config.feature_mode,
       pipeline_config.num_persons * pipeline_config.tags_per_person,
       pipeline_config.num_antennas, num_classes);
-  // Int8 serving needs calibrated scales; the source samples double as the
-  // calibration set (they are exactly the distribution this run serves).
-  if (kern::active_backend_kind() == kern::BackendKind::kInt8) {
-    nn::CalibrationOptions quant_opts;
-    try {
-      quant_opts.mode = nn::calib_mode_from_name(args.get("quant-mode", "max_abs"));
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "m2ai_serve: %s\n", e.what());
-      return usage();
-    }
-    quant_opts.percentile = args.get_double("quant-pct", 99.9);
-    std::vector<const core::FrameSequence*> calib;
-    calib.reserve(runs.size());
-    for (const core::SampleRun& run : runs) calib.push_back(&run.sample.frames);
-    network->calibrate(calib, quant_opts);
-    std::printf("int8 calibration: %zu sequence(s), mode %s\n", calib.size(),
-                nn::calib_mode_name(quant_opts.mode));
-  }
   serve::Service service(serve_config, pipeline_config, std::move(network));
   for (int s = 0; s < num_streams; ++s) {
     const StreamSource& src = sources[static_cast<std::size_t>(s)];
@@ -332,8 +307,7 @@ int main(int argc, char** argv) {
       "  e2e       p50 %.3f ms, p99 %.3f ms, max %.3f ms\n"
       "  capacity  %.1f streams/core at this load\n"
       "  backend   %s: kern.%s.*.ns_per_op gemv %.0f, gemm_bias %.0f,\n"
-      "            conv1d_row %.0f, noise_projection %.0f, gemv_s8 %.0f,\n"
-      "            gemm_bias_s8 %.0f\n",
+      "            conv1d_row %.0f, noise_projection %.0f\n",
       wall_sec, cpu_sec, cores, static_cast<unsigned long long>(reports_sent),
       static_cast<unsigned long long>(stats.reports),
       static_cast<unsigned long long>(stats.late_dropped),
@@ -343,8 +317,7 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(stats.batches), e2e.p50, e2e.p99, e2e.max,
       streams_per_core, backend_name, backend_name, kern_micro.gemv_ns,
       kern_micro.gemm_bias_ns, kern_micro.conv1d_row_ns,
-      kern_micro.noise_projection_ns, kern_micro.gemv_s8_ns,
-      kern_micro.gemm_bias_s8_ns);
+      kern_micro.noise_projection_ns);
   if (wire) {
     std::printf(
         "  wire      %llu bytes in %llu frames -> %llu reports "
@@ -394,8 +367,7 @@ int main(int argc, char** argv) {
         "  \"reports_per_sec\": %.2f,\n"
         "  \"e2e_ms\": {\"p50\": %.6f, \"p95\": %.6f, \"p99\": %.6f, \"max\": %.6f},\n"
         "  \"kern_ns_per_op\": {\"gemv\": %.1f, \"gemm_bias\": %.1f,\n"
-        "                     \"conv1d_row\": %.1f, \"noise_projection\": %.1f,\n"
-        "                     \"gemv_s8\": %.1f, \"gemm_bias_s8\": %.1f},\n"
+        "                     \"conv1d_row\": %.1f, \"noise_projection\": %.1f},\n"
         "  \"streams_per_core\": %.3f,\n"
         "  \"sustained\": %s\n"
         "}\n",
@@ -418,8 +390,7 @@ int main(int argc, char** argv) {
         wall_sec > 0.0 ? static_cast<double>(reports_sent) / wall_sec : 0.0,
         e2e.p50, e2e.p95, e2e.p99, e2e.max, kern_micro.gemv_ns,
         kern_micro.gemm_bias_ns, kern_micro.conv1d_row_ns,
-        kern_micro.noise_projection_ns, kern_micro.gemv_s8_ns,
-        kern_micro.gemm_bias_s8_ns, streams_per_core,
+        kern_micro.noise_projection_ns, streams_per_core,
         sustained ? "true" : "false");
     out << buf;
     std::printf("bench summary written to %s\n", bench_out.c_str());
