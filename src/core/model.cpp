@@ -102,7 +102,7 @@ nn::Tensor M2AINetwork::raw_features(const SpectrumFrame& frame) const {
   return out;
 }
 
-nn::Tensor M2AINetwork::frame_features(const SpectrumFrame& frame, bool train) {
+nn::Tensor M2AINetwork::cnn_features(const SpectrumFrame& frame, bool train) {
   nn::Tensor joined;
   bool first = true;
   if (use_pseudo_) {
@@ -118,7 +118,11 @@ nn::Tensor M2AINetwork::frame_features(const SpectrumFrame& frame, bool train) {
 
 nn::Tensor M2AINetwork::frame_input(const SpectrumFrame& frame, bool train) {
   return model_.arch == NetworkArch::kLstmOnly ? raw_features(frame)
-                                               : frame_features(frame, train);
+                                               : cnn_features(frame, train);
+}
+
+nn::Tensor M2AINetwork::frame_features(const SpectrumFrame& frame) {
+  return frame_input(frame, /*train=*/false);
 }
 
 void M2AINetwork::frame_backward(const nn::Tensor& grad_features) {
@@ -229,46 +233,62 @@ std::vector<int> M2AINetwork::predict_batch(
 
 std::vector<std::vector<double>> M2AINetwork::predict_proba_batch(
     const std::vector<const FrameSequence*>& batch) {
-  M2AI_OBS_SPAN("nn_batch");
-  const std::size_t n = batch.size();
-
-  // Per-frame CNN/merge features run per sequence; the serve spans show the
-  // pseudospectrum branch (cnn_pseudo) is most of this call's time. The LSTM
-  // stack batches across sequences.
-  std::vector<std::vector<nn::Tensor>> states(n);
-  for (std::size_t i = 0; i < n; ++i) {
+  std::vector<FeatureSequence> features(batch.size());
+  std::vector<const FeatureSequence*> ptrs(batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
     if (batch[i] == nullptr) {
       throw std::invalid_argument("M2AINetwork::predict_batch: null sequence");
     }
-    states[i].reserve(batch[i]->size());
+    features[i].reserve(batch[i]->size());
     for (const SpectrumFrame& frame : *batch[i]) {
-      states[i].push_back(frame_input(frame, /*train=*/false));
+      features[i].push_back(frame_features(frame));
+    }
+    ptrs[i] = &features[i];
+  }
+  return predict_proba_from_features(ptrs);
+}
+
+std::vector<std::vector<double>> M2AINetwork::predict_proba_from_features(
+    const std::vector<const FeatureSequence*>& batch) {
+  M2AI_OBS_SPAN("nn_batch");
+  const std::size_t n = batch.size();
+  for (const FeatureSequence* seq : batch) {
+    if (seq == nullptr) {
+      throw std::invalid_argument(
+          "M2AINetwork::predict_proba_from_features: null sequence");
     }
   }
 
+  // LSTM outputs per sequence; CNN-only feeds the features to the head.
+  std::vector<FeatureSequence> lstm_out;
+  std::vector<const FeatureSequence*> states = batch;
   if (model_.arch != NetworkArch::kCnnOnly) {
+    lstm_out.resize(n);
     // forward_batch needs equal-length sequences; serving batches are
     // usually uniform (fixed window), so grouping is normally one group.
     std::map<std::size_t, std::vector<std::size_t>> by_len;
-    for (std::size_t i = 0; i < n; ++i) by_len[states[i].size()].push_back(i);
+    for (std::size_t i = 0; i < n; ++i) by_len[batch[i]->size()].push_back(i);
     for (const auto& group : by_len) {
       const std::vector<std::size_t>& idxs = group.second;
-      std::vector<const std::vector<nn::Tensor>*> in1;
+      std::vector<const FeatureSequence*> in1;
       in1.reserve(idxs.size());
-      for (std::size_t i : idxs) in1.push_back(&states[i]);
-      const std::vector<std::vector<nn::Tensor>> h1 = lstm1_->forward_batch(in1);
-      std::vector<const std::vector<nn::Tensor>*> in2;
+      for (std::size_t i : idxs) in1.push_back(batch[i]);
+      const std::vector<FeatureSequence> h1 = lstm1_->forward_batch(in1);
+      std::vector<const FeatureSequence*> in2;
       in2.reserve(h1.size());
-      for (const std::vector<nn::Tensor>& h : h1) in2.push_back(&h);
-      std::vector<std::vector<nn::Tensor>> h2 = lstm2_->forward_batch(in2);
-      for (std::size_t b = 0; b < idxs.size(); ++b) states[idxs[b]] = std::move(h2[b]);
+      for (const FeatureSequence& h : h1) in2.push_back(&h);
+      std::vector<FeatureSequence> h2 = lstm2_->forward_batch(in2);
+      for (std::size_t b = 0; b < idxs.size(); ++b) {
+        lstm_out[idxs[b]] = std::move(h2[b]);
+        states[idxs[b]] = &lstm_out[idxs[b]];
+      }
     }
   }
 
   std::vector<std::vector<double>> out(n);
   for (std::size_t i = 0; i < n; ++i) {
     std::vector<double> prob_sum(static_cast<std::size_t>(num_classes_), 0.0);
-    for (const nn::Tensor& s : states[i]) {
+    for (const nn::Tensor& s : *states[i]) {
       const nn::Tensor probs = nn::softmax(head_->forward(s, /*train=*/false));
       for (int c = 0; c < num_classes_; ++c) {
         prob_sum[static_cast<std::size_t>(c)] += probs[static_cast<std::size_t>(c)];

@@ -14,6 +14,9 @@
 
 namespace m2ai::core {
 
+// One sequence's per-frame network inputs (M2AINetwork::frame_features).
+using FeatureSequence = std::vector<nn::Tensor>;
+
 class M2AINetwork {
  public:
   M2AINetwork(const ModelConfig& model, FeatureMode mode, int num_tags,
@@ -38,14 +41,29 @@ class M2AINetwork {
   std::vector<double> predict_proba(const FrameSequence& frames);
   // One label per sequence (the per-row argmax of predict_proba_batch).
   std::vector<int> predict_batch(const std::vector<const FrameSequence*>& batch);
-  // Normalized per-class probability sums, one vector per sequence. The
-  // per-frame CNN features run per sequence; sequences are grouped by length
-  // and each group's LSTM stack runs batched (nn::Lstm::forward_batch) — one
-  // gemm per timestep across the group. Under the reference backend that
-  // gemm accumulates every output in gemv's order, so each row is bitwise
-  // identical to running its sequence alone through nn::Lstm::forward.
+  // Normalized per-class probability sums, one vector per sequence: exactly
+  // predict_proba_from_features over each frame's frame_features.
   std::vector<std::vector<double>> predict_proba_batch(
       const std::vector<const FrameSequence*>& batch);
+
+  // Inference in its two halves. frame_features is one frame's LSTM input
+  // (the head input for CNN-only): the CNN branches + merge in eval mode, or
+  // the raw flattened frame for LSTM-only. The paper's CNN runs per time
+  // step, so the result depends on that frame alone and a stream can
+  // featurize each frame once for every sliding window that holds it
+  // (serve::Service does, on its DSP workers). Eval-mode layers still write
+  // per-layer scratch, so concurrent callers need one clone each.
+  nn::Tensor frame_features(const SpectrumFrame& frame);
+  // The rest of the network over per-frame feature sequences. Sequences are
+  // grouped by length and each group's LSTM stack runs batched
+  // (nn::Lstm::forward_batch) — one gemm per timestep across the group.
+  // Under the reference backend that gemm accumulates every output in
+  // gemv's order, so each row is bitwise identical to running its sequence
+  // alone through nn::Lstm::forward.
+  std::vector<std::vector<double>> predict_proba_from_features(
+      const std::vector<const FeatureSequence*>& batch);
+  // The label of one probability row (first class on ties).
+  static int argmax_class(const std::vector<double>& probs);
 
   std::vector<nn::Param*> params();
   std::size_t num_parameters();
@@ -71,21 +89,19 @@ class M2AINetwork {
  private:
   // CNN branches + merge for one frame. Returns the per-frame feature
   // vector; with train=true, caches are pushed for the matching backward.
-  nn::Tensor frame_features(const SpectrumFrame& frame, bool train);
+  nn::Tensor cnn_features(const SpectrumFrame& frame, bool train);
   // Backward through merge + branches for the most recent un-popped
-  // frame_features(train=true) call.
+  // cnn_features(train=true) call.
   void frame_backward(const nn::Tensor& grad_features);
 
   // Raw flattened frame (LSTM-only ablation input).
   nn::Tensor raw_features(const SpectrumFrame& frame) const;
   // The LSTM input (or, for CNN-only, the head input) of one frame:
-  // raw_features for the LSTM-only ablation, frame_features otherwise.
+  // raw_features for the LSTM-only ablation, cnn_features otherwise.
   nn::Tensor frame_input(const SpectrumFrame& frame, bool train);
 
   // Training forward of one sequence (caches kept for train_step's backward).
   std::vector<nn::Tensor> forward_sequence(const FrameSequence& frames);
-
-  static int argmax_class(const std::vector<double>& probs);
 
   ModelConfig model_;
   FeatureMode mode_;

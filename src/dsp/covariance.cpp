@@ -33,18 +33,6 @@ void accumulate_outer(CMatrix& sum, const std::vector<cdouble>& x) {
   }
 }
 
-void downdate_outer(CMatrix& sum, const std::vector<cdouble>& x) {
-  const std::size_t n = sum.rows();
-  if (x.size() != n || sum.cols() != n) {
-    throw std::invalid_argument("downdate_outer: size mismatch");
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      sum(i, j) -= x[i] * std::conj(x[j]);
-    }
-  }
-}
-
 CMatrix finalize_covariance(const CMatrix& sum, std::size_t count,
                             const CovarianceOptions& options) {
   if (count == 0) {

@@ -36,12 +36,6 @@ CMatrix sample_covariance(const std::vector<std::vector<cdouble>>& snapshots,
 // recompute over the same snapshots in the same order.
 void accumulate_outer(CMatrix& sum, const std::vector<cdouble>& x);
 
-// Rank-1 downdate: sum -= x x^H. Sliding-window eviction. Subtraction does
-// not round-trip addition exactly, so a downdated sum drifts from the batch
-// sum by accumulated rounding — callers resynchronize with a periodic full
-// recompute (see serve::IncrementalCovariance::resync).
-void downdate_outer(CMatrix& sum, const std::vector<cdouble>& x);
-
 // Derives the final covariance (subarray smoothing, forward-backward
 // averaging, diagonal loading) from the N x N outer-product sum over `count`
 // snapshots. sample_covariance(snapshots, o) is exactly

@@ -1,11 +1,11 @@
 #include "dsp/fft.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <shared_mutex>
 #include <stdexcept>
 
 namespace m2ai::dsp {
@@ -59,48 +59,46 @@ std::vector<cdouble> bluestein_chirp(std::size_t n, bool inverse) {
 
 namespace {
 
-// Per-size table cache. The periodogram path calls the FFT once per window
-// per tag, always at the same handful of sizes; recomputing sin/cos chains
-// there dominated the per-window leaf profile. The cache is shared across
+// Per-size cache of immutable entries, built once per size and never
+// evicted. The periodogram path calls the FFT once per window per tag,
+// always at the same handful of sizes, and the cache is shared across
 // threads (dataset generation and the serve DSP stage run windows in
-// parallel). Lookups after warm-up are lock-free: readers take an atomic
-// snapshot of an immutable map; the mutex serializes writers only, each of
-// whom publishes a fresh copy with the new entry (copy-on-write — the map
-// holds a handful of sizes, so the copy is trivial next to the sin/cos
-// chains being cached). Callers hold a shared_ptr so an entry can never be
-// destroyed under a running transform.
-using TwiddleMap = std::map<std::size_t, std::shared_ptr<const TwiddleTable>>;
-std::mutex g_twiddle_mu;  // writers only
-std::atomic<std::shared_ptr<const TwiddleMap>>& twiddle_snapshot() {
-  static auto* snap = new std::atomic<std::shared_ptr<const TwiddleMap>>();
-  return *snap;
-}
+// parallel). Lookups take the lock shared; the first caller for a size
+// builds its entry under the exclusive lock. Callers hold a shared_ptr, so
+// an entry can never be destroyed under a running transform.
+template <typename T>
+class SizeCache {
+ public:
+  template <typename Build>
+  std::shared_ptr<const T> get(std::size_t n, const Build& build) {
+    {
+      std::shared_lock<std::shared_mutex> lock(mu_);
+      const auto it = map_.find(n);
+      if (it != map_.end()) return it->second;
+    }
+    std::unique_lock<std::shared_mutex> lock(mu_);
+    // Another caller may have built this size since the shared lookup.
+    std::shared_ptr<const T>& entry = map_[n];
+    if (!entry) entry = build();
+    return entry;
+  }
 
+ private:
+  std::shared_mutex mu_;
+  std::map<std::size_t, std::shared_ptr<const T>> map_;
+};
+
+// Twiddle tables: recomputing the sin/cos chains per call dominated the
+// per-window leaf profile.
 std::shared_ptr<const TwiddleTable> twiddles_for(std::size_t n) {
-  const std::shared_ptr<const TwiddleMap> snap =
-      twiddle_snapshot().load(std::memory_order_acquire);
-  if (snap) {
-    const auto it = snap->find(n);
-    if (it != snap->end()) return it->second;
-  }
-  std::lock_guard<std::mutex> lock(g_twiddle_mu);
-  // Re-check under the lock: another writer may have published this size
-  // between our snapshot and the acquisition.
-  const std::shared_ptr<const TwiddleMap> latest =
-      twiddle_snapshot().load(std::memory_order_acquire);
-  if (latest) {
-    const auto it = latest->find(n);
-    if (it != latest->end()) return it->second;
-  }
-  auto table = std::make_shared<TwiddleTable>();
-  table->forward = twiddle_stages(n, false);
-  table->inverse = twiddle_stages(n, true);
-  auto entry = std::shared_ptr<const TwiddleTable>(std::move(table));
-  auto next = latest ? std::make_shared<TwiddleMap>(*latest)
-                     : std::make_shared<TwiddleMap>();
-  next->emplace(n, entry);
-  twiddle_snapshot().store(std::move(next), std::memory_order_release);
-  return entry;
+  // Never destroyed, so lookups from static destructors stay valid.
+  static auto* cache = new SizeCache<TwiddleTable>();
+  return cache->get(n, [n] {
+    auto table = std::make_shared<TwiddleTable>();
+    table->forward = twiddle_stages(n, false);
+    table->inverse = twiddle_stages(n, true);
+    return table;
+  });
 }
 
 // In-place radix-2 body shared by fft_radix2 and FftPlan::transform so the
@@ -243,38 +241,11 @@ void FftPlan::transform(const cdouble* in, cdouble* out, bool inverse,
   }
 }
 
-namespace {
-// Same reader-lock-free copy-on-write scheme as the twiddle cache above:
-// the plan lookup sits on the per-window periodogram hot path, which the
-// serve layer runs from many DSP workers concurrently.
-using PlanMap = std::map<std::size_t, std::shared_ptr<const FftPlan>>;
-std::mutex g_plan_mu;  // writers only
-std::atomic<std::shared_ptr<const PlanMap>>& plan_snapshot() {
-  static auto* snap = new std::atomic<std::shared_ptr<const PlanMap>>();
-  return *snap;
-}
-}  // namespace
-
 std::shared_ptr<const FftPlan> shared_fft_plan(std::size_t n) {
-  const std::shared_ptr<const PlanMap> snap =
-      plan_snapshot().load(std::memory_order_acquire);
-  if (snap) {
-    const auto it = snap->find(n);
-    if (it != snap->end()) return it->second;
-  }
-  std::lock_guard<std::mutex> lock(g_plan_mu);
-  const std::shared_ptr<const PlanMap> latest =
-      plan_snapshot().load(std::memory_order_acquire);
-  if (latest) {
-    const auto it = latest->find(n);
-    if (it != latest->end()) return it->second;
-  }
-  auto entry = std::shared_ptr<const FftPlan>(new FftPlan(n));
-  auto next = latest ? std::make_shared<PlanMap>(*latest)
-                     : std::make_shared<PlanMap>();
-  next->emplace(n, entry);
-  plan_snapshot().store(std::move(next), std::memory_order_release);
-  return entry;
+  // The plan lookup sits on the per-window periodogram hot path, which the
+  // serve layer runs from several DSP workers concurrently.
+  static auto* cache = new SizeCache<FftPlan>();
+  return cache->get(n, [n] { return std::shared_ptr<const FftPlan>(new FftPlan(n)); });
 }
 
 std::vector<cdouble> dft(const std::vector<cdouble>& data, bool inverse) {

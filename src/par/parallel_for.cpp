@@ -126,10 +126,11 @@ void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn) {
     for (int d = 0; d < drivers - 1; ++d) {
       g_pool->submit([&] {
         drive();
-        {
-          std::lock_guard<std::mutex> dl(done_mu);
-          --remaining;
-        }
+        // Notify under the lock: once the caller can see remaining == 0 it
+        // returns and destroys the stack condition variable, so the notify
+        // must be over before the lock is released.
+        std::lock_guard<std::mutex> dl(done_mu);
+        --remaining;
         done_cv.notify_one();
       });
     }

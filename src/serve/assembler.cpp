@@ -13,7 +13,7 @@ StreamAssembler::TagAccum::TagAccum(int num_antennas)
     : phases(static_cast<std::size_t>(num_antennas)),
       amplitudes(static_cast<std::size_t>(num_antennas)),
       rssis(static_cast<std::size_t>(num_antennas)),
-      cov(num_antennas, /*resync_every=*/0) {}
+      cov(num_antennas) {}
 
 StreamAssembler::StreamAssembler(const core::PipelineConfig& config,
                                  const dsp::PhaseCalibrator* calibrator,
@@ -86,8 +86,8 @@ std::vector<core::SpectrumFrame> StreamAssembler::ingest(
     for (std::size_t a = 0; a < num_ant; ++a) {
       snap[a] = std::polar(acc.amplitudes[a][acc.pushed], acc.phases[a][acc.pushed]);
     }
-    acc.snapshots.push_back(snap);
-    acc.cov.push(std::move(snap));
+    acc.cov.push(snap);
+    acc.snapshots.push_back(std::move(snap));
     ++acc.pushed;
     ++stats_.snapshots;
   }

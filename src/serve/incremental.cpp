@@ -1,49 +1,30 @@
 #include "serve/incremental.hpp"
 
 #include <stdexcept>
-#include <utility>
 
 namespace m2ai::serve {
 
-IncrementalCovariance::IncrementalCovariance(int num_antennas,
-                                             std::size_t resync_every)
+IncrementalCovariance::IncrementalCovariance(int num_antennas)
     : num_antennas_(static_cast<std::size_t>(num_antennas)),
-      resync_every_(resync_every),
       sum_(num_antennas_, num_antennas_) {
   if (num_antennas <= 0) {
     throw std::invalid_argument("IncrementalCovariance: num_antennas must be > 0");
   }
 }
 
-void IncrementalCovariance::push(std::vector<dsp::cdouble> snapshot) {
+void IncrementalCovariance::push(const std::vector<dsp::cdouble>& snapshot) {
   dsp::accumulate_outer(sum_, snapshot);
-  window_.push_back(std::move(snapshot));
-}
-
-void IncrementalCovariance::evict_oldest() {
-  if (window_.empty()) return;
-  dsp::downdate_outer(sum_, window_.front());
-  window_.pop_front();
-  ++downdates_since_resync_;
-  if (resync_every_ > 0 && downdates_since_resync_ >= resync_every_) resync();
-}
-
-void IncrementalCovariance::resync() {
-  sum_ = dsp::CMatrix(num_antennas_, num_antennas_);
-  for (const auto& snap : window_) dsp::accumulate_outer(sum_, snap);
-  downdates_since_resync_ = 0;
-  ++resyncs_;
+  ++count_;
 }
 
 void IncrementalCovariance::clear() {
   sum_ = dsp::CMatrix(num_antennas_, num_antennas_);
-  window_.clear();
-  downdates_since_resync_ = 0;
+  count_ = 0;
 }
 
 dsp::CMatrix IncrementalCovariance::covariance(
     const dsp::CovarianceOptions& options) const {
-  return dsp::finalize_covariance(sum_, window_.size(), options);
+  return dsp::finalize_covariance(sum_, count_, options);
 }
 
 }  // namespace m2ai::serve

@@ -8,22 +8,13 @@
 // to a running outer-product sum, and window close only pays the cheap
 // finalization (smoothing / forward-backward / loading).
 //
-// Numerical contract:
-//   * push-only (tumbling windows): the running sum sees the same rank-1
-//     additions, in the same order, as a batch recompute over the same
-//     snapshots — covariance() is BITWISE identical to
-//     dsp::sample_covariance(window, options).
-//   * with evictions (sliding windows): downdates subtract what an earlier
-//     add contributed, which does not round-trip in floating point, so the
-//     sum drifts from the batch value by accumulated rounding (epsilon
-//     scale per eviction). A full recompute over the retained window restores
-//     bitwise agreement; evict_oldest() triggers one automatically every
-//     `resync_every` downdates.
+// Numerical contract: serving windows tumble, so the running sum only ever
+// sees the same rank-1 additions, in the same order, as a batch recompute
+// over the same snapshots — covariance() is BITWISE identical to
+// dsp::sample_covariance(window, options).
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "dsp/covariance.hpp"
@@ -33,44 +24,25 @@ namespace m2ai::serve {
 class IncrementalCovariance {
  public:
   // `num_antennas` fixes the snapshot length N (sum is N x N).
-  // `resync_every` = downdates between automatic full recomputes; 0 disables
-  // automatic resync (callers drive resync() themselves).
-  explicit IncrementalCovariance(int num_antennas, std::size_t resync_every = 64);
+  explicit IncrementalCovariance(int num_antennas);
 
   // Append one aligned snapshot (length N): sum += x x^H, window grows.
-  void push(std::vector<dsp::cdouble> snapshot);
+  void push(const std::vector<dsp::cdouble>& snapshot);
 
-  // Remove the oldest retained snapshot: sum -= x x^H. No-op on an empty
-  // window. Counts toward the automatic-resync budget.
-  void evict_oldest();
-
-  // Recompute the sum from the retained window in push order — bitwise the
-  // batch accumulation. Resets the downdate counter.
-  void resync();
-
-  // Drop all snapshots and zero the sum (start of a new tumbling window).
+  // Zero the sum and the count (start of a new tumbling window).
   void clear();
 
-  std::size_t size() const { return window_.size(); }
-  bool empty() const { return window_.empty(); }
-  std::size_t downdates_since_resync() const { return downdates_since_resync_; }
-  std::uint64_t resyncs() const { return resyncs_; }
+  std::size_t size() const { return count_; }
+  bool empty() const { return count_ == 0; }
 
-  // Finalized covariance over the retained window (throws if empty, like
-  // sample_covariance). Bitwise equal to
-  // dsp::sample_covariance({window begin..end}, options) when no eviction
-  // happened since the last resync; within rounding drift otherwise.
+  // Finalized covariance over the pushed snapshots (throws if empty, like
+  // sample_covariance).
   dsp::CMatrix covariance(const dsp::CovarianceOptions& options = {}) const;
-
-  const std::deque<std::vector<dsp::cdouble>>& window() const { return window_; }
 
  private:
   std::size_t num_antennas_;
-  std::size_t resync_every_;
-  std::size_t downdates_since_resync_ = 0;
-  std::uint64_t resyncs_ = 0;
+  std::size_t count_ = 0;
   dsp::CMatrix sum_;
-  std::deque<std::vector<dsp::cdouble>> window_;
 };
 
 }  // namespace m2ai::serve

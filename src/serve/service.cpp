@@ -67,10 +67,11 @@ void Service::start() {
   if (finished_) throw std::logic_error("Service::start: already finished");
   started_ = true;
   const int workers = serve_.dsp_workers;
-  requests_.reserve(static_cast<std::size_t>(workers));
-  for (int w = 0; w < workers; ++w) {
-    requests_.push_back(
-        std::make_unique<par::SpscQueue<Request>>(serve_.request_capacity));
+  workers_.resize(static_cast<std::size_t>(workers));
+  for (Worker& w : workers_) {
+    w.network = network_->clone();
+    w.requests = std::make_unique<par::SpscQueue<Request>>(serve_.request_capacity);
+    w.frames = &obs::registry().counter("serve.frames");
   }
   nn_thread_ = std::thread([this] { nn_loop(); });
   dsp_threads_.reserve(static_cast<std::size_t>(workers));
@@ -148,40 +149,42 @@ ServiceStats Service::stats() const {
   return st;
 }
 
-void Service::enqueue_request(int worker, Request request) {
-  // Backpressure: a full request ring stalls this DSP worker (and, as its
-  // ingest rings fill, eventually the producers) instead of dropping work.
-  auto& ring = *requests_[static_cast<std::size_t>(worker)];
-  while (!ring.try_push(std::move(request))) std::this_thread::yield();
-}
-
-void Service::on_frames(int stream_index, int worker,
-                        std::vector<core::SpectrumFrame> frames,
+void Service::on_frames(int stream_index, Worker& worker,
+                        const std::vector<core::SpectrumFrame>& frames,
                         std::uint64_t enqueue_ns) {
   Stream& s = *streams_[static_cast<std::size_t>(stream_index)];
   const auto seq_len = static_cast<std::size_t>(sequence_frames_);
-  for (auto& frame : frames) {
-    s.recent.push_back(std::move(frame));
+  for (const core::SpectrumFrame& frame : frames) {
+    // The CNN runs here, once per frame; every window holding the frame
+    // reuses its features.
+    s.recent.push_back(worker.network->frame_features(frame));
     if (s.recent.size() > seq_len) s.recent.pop_front();
     ++s.frames_closed;
     frames_total_.fetch_add(1, std::memory_order_relaxed);
-    obs::registry().counter("serve.frames").add();
-    if (s.recent.size() < seq_len) continue;
-
-    Request request;
-    request.stream = stream_index;
-    request.frame_index = s.frames_closed - 1;
-    request.enqueue_ns = enqueue_ns;
-    request.flow = kFlowBase + flow_seq_.fetch_add(1, std::memory_order_relaxed);
-    request.frames.assign(s.recent.begin(), s.recent.end());
-    s.requested_any = true;
-    obs::timeline_flow_start("serve.request", request.flow);
-    enqueue_request(worker, std::move(request));
+    worker.frames->add();
+    if (s.recent.size() == seq_len) request_prediction(stream_index, worker, enqueue_ns);
   }
+}
+
+void Service::request_prediction(int stream_index, Worker& worker,
+                                 std::uint64_t enqueue_ns) {
+  Stream& s = *streams_[static_cast<std::size_t>(stream_index)];
+  Request request;
+  request.stream = stream_index;
+  request.frame_index = s.frames_closed - 1;
+  request.enqueue_ns = enqueue_ns;
+  request.flow = kFlowBase + flow_seq_.fetch_add(1, std::memory_order_relaxed);
+  request.features.assign(s.recent.begin(), s.recent.end());
+  s.requested_any = true;
+  obs::timeline_flow_start("serve.request", request.flow);
+  // Backpressure: a full request ring stalls this DSP worker (and, as its
+  // ingest rings fill, eventually the producers) instead of dropping work.
+  while (!worker.requests->try_push(std::move(request))) std::this_thread::yield();
 }
 
 void Service::dsp_loop(int worker) {
   obs::register_thread_name("serve-dsp-" + std::to_string(worker));
+  Worker& self = workers_[static_cast<std::size_t>(worker)];
   const auto owns = [this, worker](std::size_t i) {
     return static_cast<int>(i % static_cast<std::size_t>(serve_.dsp_workers)) ==
            worker;
@@ -198,7 +201,7 @@ void Service::dsp_loop(int worker) {
       // worker's other streams.
       for (int budget = 256; budget > 0 && s.ingest->try_pop(sr); --budget) {
         idle = false;
-        on_frames(static_cast<int>(i), worker, s.assembler->ingest(sr.report),
+        on_frames(static_cast<int>(i), self, s.assembler->ingest(sr.report),
                   sr.enqueue_ns);
       }
       if (!(s.producer_done.load(std::memory_order_acquire) &&
@@ -214,17 +217,9 @@ void Service::dsp_loop(int worker) {
     if (!owns(i)) continue;
     Stream& s = *streams_[i];
     const std::uint64_t now = obs::timeline_now_ns();
-    on_frames(static_cast<int>(i), worker, s.assembler->flush(), now);
+    on_frames(static_cast<int>(i), self, s.assembler->flush(), now);
     if (!s.requested_any && !s.recent.empty()) {
-      Request request;
-      request.stream = static_cast<int>(i);
-      request.frame_index = s.frames_closed - 1;
-      request.enqueue_ns = now;
-      request.flow = kFlowBase + flow_seq_.fetch_add(1, std::memory_order_relaxed);
-      request.frames.assign(s.recent.begin(), s.recent.end());
-      s.requested_any = true;
-      obs::timeline_flow_start("serve.request", request.flow);
-      enqueue_request(worker, std::move(request));
+      request_prediction(static_cast<int>(i), self, now);
     }
   }
   workers_done_.fetch_add(1, std::memory_order_release);
@@ -235,19 +230,24 @@ void Service::nn_loop() {
   obs::Histogram& e2e = obs::registry().histogram("serve.e2e_ms");
   obs::Counter& predictions = obs::registry().counter("serve.predictions");
   std::vector<Request> batch;
+  // The worker drained first rotates every wake: with a fixed order, a
+  // saturated NN thread would fill each batch from worker 0 and starve the
+  // others' rings.
+  std::size_t first = 0;
   for (;;) {
     batch.clear();
-    for (auto& ring : requests_) {
+    for (std::size_t k = 0; k < workers_.size() && batch.size() < serve_.max_batch; ++k) {
+      Worker& w = workers_[(first + k) % workers_.size()];
       Request r;
-      while (batch.size() < serve_.max_batch && ring->try_pop(r)) {
+      while (batch.size() < serve_.max_batch && w.requests->try_pop(r)) {
         batch.push_back(std::move(r));
       }
-      if (batch.size() >= serve_.max_batch) break;
     }
+    first = (first + 1) % workers_.size();
     if (batch.empty()) {
       if (workers_done_.load(std::memory_order_acquire) == serve_.dsp_workers) {
         bool drained = true;
-        for (auto& ring : requests_) drained = drained && ring->empty_approx();
+        for (Worker& w : workers_) drained = drained && w.requests->empty_approx();
         if (drained) break;
       }
       std::this_thread::yield();
@@ -256,10 +256,11 @@ void Service::nn_loop() {
     obs::ScopedSpan span("serve.nn_batch");
     span.arg("requests", static_cast<std::int64_t>(batch.size()));
     batches_total_.fetch_add(1, std::memory_order_relaxed);
-    std::vector<const core::FrameSequence*> seqs;
+    std::vector<const core::FeatureSequence*> seqs;
     seqs.reserve(batch.size());
-    for (const Request& r : batch) seqs.push_back(&r.frames);
-    const std::vector<int> labels = network_->predict_batch(seqs);
+    for (const Request& r : batch) seqs.push_back(&r.features);
+    const std::vector<std::vector<double>> probs =
+        network_->predict_proba_from_features(seqs);
     for (std::size_t bi = 0; bi < batch.size(); ++bi) {
       const Request& request = batch[bi];
       obs::timeline_flow_end("serve.request", request.flow);
@@ -271,7 +272,8 @@ void Service::nn_loop() {
       predictions.add();
       predictions_total_.fetch_add(1, std::memory_order_relaxed);
       streams_[static_cast<std::size_t>(request.stream)]->predictions.push_back(
-          Prediction{request.frame_index, labels[bi], latency_ms});
+          Prediction{request.frame_index,
+                     core::M2AINetwork::argmax_class(probs[bi]), latency_ms});
     }
   }
 }

@@ -3,30 +3,36 @@
 // Topology (all channels are bounded lock-free SPSC rings, par/spsc_queue):
 //
 //   producer threads          DSP workers                 NN thread
-//   (one per stream) --ring-> (stream s owned by          (single model)
-//                              worker s % K)    --ring->
+//   (one per stream) --ring-> (stream s owned by          (LSTM stack +
+//                              worker s % K; CNN) --ring-> head)
 //
-// Each DSP worker owns a disjoint set of streams: it drains their ingest
-// rings, feeds the per-stream StreamAssembler (incremental covariance +
-// frame assembly), keeps the sliding sequence of the last T frames, and —
-// every time a window closes with a full sequence available — enqueues an
-// inference request on its private ring to the NN thread. The NN thread
-// drains the worker rings in micro-batches (up to max_batch requests per
-// wake) so one network serves hundreds of streams without a lock anywhere on
-// the steady-state path.
+// Each DSP worker owns a disjoint set of streams and its own clone of the
+// network: it drains their ingest rings, feeds the per-stream
+// StreamAssembler (incremental covariance + frame assembly), runs the
+// per-frame CNN (M2AINetwork::frame_features) once on every closed frame,
+// keeps the features of the last T frames, and — every time a window closes
+// with a full sequence available — enqueues an inference request carrying
+// those T feature vectors (T x 48 floats) on its private ring to the NN
+// thread. The NN thread drains the worker rings in micro-batches (up to
+// max_batch requests per wake) and runs only the LSTM stack and the head
+// (predict_proba_from_features), so one network serves hundreds of streams
+// without a lock anywhere on the steady-state path.
 //
 // Determinism: a stream's predictions depend only on its own report
-// sequence — assembly is per-stream state, each row of a predict_batch()
-// call is independent of the rows beside it, and the single NN thread
-// serializes calls — so the labels for N streams replaying the same reports
-// are identical at any worker count or stream count
-// (ServeService.DeterministicAcrossStreamCounts).
+// sequence — assembly is per-stream state, a frame's features depend on that
+// frame alone, each row of a predict_proba_from_features() call is
+// independent of the rows beside it, and the single NN thread serializes
+// calls — so the labels for N streams replaying the same reports are
+// identical at any worker count or stream count, and equal offline
+// M2AINetwork::predict on the same frames
+// (ServeService.DeterministicAcrossStreamCountsAndMatchesOffline,
+// ServeService.SlidingWindowsMatchOfflineSlices).
 //
 // Latency accounting: every report is stamped at enqueue; a prediction's
 // end-to-end latency runs from the stamp of the report that closed its
-// window to the moment its micro-batch's predict_batch() returns, recorded
-// in the "serve.e2e_ms" histogram (recorded even when the obs switch is off,
-// so ServiceStats is always meaningful).
+// window to the moment its micro-batch's NN call returns, recorded in the
+// "serve.e2e_ms" histogram (recorded even when the obs switch is off, so
+// ServiceStats is always meaningful).
 #pragma once
 
 #include <atomic>
@@ -37,6 +43,7 @@
 #include <vector>
 
 #include "core/model.hpp"
+#include "obs/metrics.hpp"
 #include "par/spsc_queue.hpp"
 #include "proto/parser.hpp"
 #include "serve/assembler.hpp"
@@ -131,7 +138,12 @@ class Service {
     std::size_t frame_index = 0;
     std::uint64_t enqueue_ns = 0;
     std::uint64_t flow = 0;  // timeline flow arrow: window close -> prediction
-    core::FrameSequence frames;
+    core::FeatureSequence features;  // T frames' frame_features, oldest first
+  };
+  struct Worker {
+    std::unique_ptr<core::M2AINetwork> network;  // runs frame_features only
+    std::unique_ptr<par::SpscQueue<Request>> requests;  // to the NN thread
+    obs::Counter* frames = nullptr;  // "serve.frames", resolved once
   };
   struct Stream {
     std::unique_ptr<StreamAssembler> assembler;
@@ -141,8 +153,9 @@ class Service {
     proto::FrameParser parser;
     std::vector<sim::TagReport> parse_buf;
     std::atomic<bool> producer_done{false};
-    // DSP-worker-private sliding sequence state.
-    std::deque<core::SpectrumFrame> recent;
+    // DSP-worker-private sliding sequence state: the features of the last
+    // (at most T) closed frames.
+    std::deque<nn::Tensor> recent;
     std::size_t frames_closed = 0;
     bool requested_any = false;
     // NN-thread-private until finish().
@@ -151,10 +164,11 @@ class Service {
 
   void dsp_loop(int worker);
   void nn_loop();
-  void on_frames(int stream_index, int worker,
-                 std::vector<core::SpectrumFrame> frames,
+  void on_frames(int stream_index, Worker& worker,
+                 const std::vector<core::SpectrumFrame>& frames,
                  std::uint64_t enqueue_ns);
-  void enqueue_request(int worker, Request request);
+  void request_prediction(int stream_index, Worker& worker,
+                          std::uint64_t enqueue_ns);
 
   ServeConfig serve_;
   core::PipelineConfig pipeline_;
@@ -162,7 +176,7 @@ class Service {
   int sequence_frames_;
 
   std::vector<std::unique_ptr<Stream>> streams_;
-  std::vector<std::unique_ptr<par::SpscQueue<Request>>> requests_;  // per worker
+  std::vector<Worker> workers_;
   std::vector<std::thread> dsp_threads_;
   std::thread nn_thread_;
   std::atomic<int> workers_done_{0};

@@ -100,6 +100,44 @@ TEST_P(AllArchitectures, PredictProbaEqualsItsBatchRowBitwise) {
   }
 }
 
+// predict_proba_batch is exactly frame_features per frame, then
+// predict_proba_from_features: the split the serving path runs across its
+// DSP workers and NN thread must not move a bit under the reference backend.
+TEST_P(AllArchitectures, FeaturesThenPredictEqualsPredictProbaBatchBitwise) {
+  struct BackendGuard {
+    kern::BackendKind saved = kern::active_backend_kind();
+    ~BackendGuard() { kern::set_backend(saved); }
+  } guard;
+  kern::set_backend(kern::BackendKind::kReference);
+  util::Rng rng(7);
+  ModelConfig m;
+  m.arch = GetParam();
+  M2AINetwork net(m, FeatureMode::kM2AI, kTags, kAntennas, kClasses);
+  // Mixed lengths exercise the per-length LSTM groups.
+  const Sample x = random_sample(FeatureMode::kM2AI, 6, 0, rng);
+  const Sample y = random_sample(FeatureMode::kM2AI, 4, 1, rng);
+  const Sample z = random_sample(FeatureMode::kM2AI, 6, 2, rng);
+  const std::vector<const FrameSequence*> frames = {&x.frames, &y.frames, &z.frames};
+  const std::vector<std::vector<double>> want = net.predict_proba_batch(frames);
+
+  std::vector<FeatureSequence> features(frames.size());
+  std::vector<const FeatureSequence*> ptrs;
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    for (const SpectrumFrame& f : *frames[i]) {
+      features[i].push_back(net.frame_features(f));
+    }
+    ptrs.push_back(&features[i]);
+  }
+  const std::vector<std::vector<double>> got = net.predict_proba_from_features(ptrs);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(got[i].size(), want[i].size());
+    for (std::size_t c = 0; c < want[i].size(); ++c) {
+      EXPECT_EQ(got[i][c], want[i][c]) << "sequence " << i << ", class " << c;
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Archs, AllArchitectures,
                          ::testing::Values(NetworkArch::kCnnLstm,
                                            NetworkArch::kCnnOnly,

@@ -1,20 +1,20 @@
 // Streaming serve layer:
 //   * SpscQueue — FIFO integrity single-threaded and under a concurrent
 //     producer/consumer (the TSan CI job runs these for the race contract);
-//   * IncrementalCovariance — push-only bitwise equality with the batch
-//     sample_covariance, epsilon drift under eviction, bitwise recovery at
-//     resync points (manual and automatic);
+//   * IncrementalCovariance — bitwise equality with the batch
+//     sample_covariance;
 //   * StreamAssembler — frames bitwise identical to core::FrameBuilder over
 //     a real simulated report stream, for the spectral and the ablation
 //     feature modes;
 //   * Service — end-to-end determinism: N streams replaying a sample give
 //     the offline prediction for that sample, independent of stream count,
-//     worker count, and batch size; and its start/finish lifecycle.
+//     worker count, and batch size; every sliding window of a long stream
+//     gives the offline prediction for its T-frame slice; and its
+//     start/finish lifecycle.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <complex>
 #include <functional>
 #include <thread>
@@ -142,58 +142,6 @@ TEST(IncrementalCovariance, PushOnlyBitwiseMatchesBatch) {
   opts.smoothing_subarray = 3;
   expect_bitwise_equal(inc.covariance(opts),
                        m2ai::dsp::sample_covariance(snaps, opts));
-}
-
-TEST(IncrementalCovariance, SlidingDriftIsEpsilonAndResyncIsBitwise) {
-  const auto snaps = random_snapshots(128, 4, 0x51de);
-  m2ai::dsp::CovarianceOptions opts;
-  m2ai::serve::IncrementalCovariance inc(4, /*resync_every=*/0);  // manual
-  const std::size_t window = 32;
-  for (std::size_t i = 0; i < window; ++i) inc.push(snaps[i]);
-  bool saw_drift = false;
-  for (std::size_t i = window; i < snaps.size(); ++i) {
-    inc.evict_oldest();
-    inc.push(snaps[i]);
-    const std::vector<std::vector<cdouble>> ref(
-        snaps.begin() + static_cast<std::ptrdiff_t>(i + 1 - window),
-        snaps.begin() + static_cast<std::ptrdiff_t>(i + 1));
-    const auto drifted = inc.covariance(opts);
-    const auto exact = m2ai::dsp::sample_covariance(ref, opts);
-    double max_abs = 0.0;
-    for (std::size_t r = 0; r < 4; ++r) {
-      for (std::size_t c = 0; c < 4; ++c) {
-        max_abs = std::max(max_abs, std::abs(drifted(r, c) - exact(r, c)));
-        saw_drift = saw_drift || drifted(r, c) != exact(r, c);
-      }
-    }
-    // Downdates drift, but only at rounding scale.
-    EXPECT_LT(max_abs, 1e-10);
-  }
-  // Resync restores bitwise agreement with the batch recompute.
-  inc.resync();
-  const std::vector<std::vector<cdouble>> ref(snaps.end() - window, snaps.end());
-  expect_bitwise_equal(inc.covariance(opts),
-                       m2ai::dsp::sample_covariance(ref, opts));
-  EXPECT_EQ(inc.downdates_since_resync(), 0u);
-}
-
-TEST(IncrementalCovariance, AutomaticResyncEveryNDowndates) {
-  const auto snaps = random_snapshots(64, 4, 0xfeed);
-  m2ai::serve::IncrementalCovariance inc(4, /*resync_every=*/8);
-  for (std::size_t i = 0; i < 16; ++i) inc.push(snaps[i]);
-  for (std::size_t i = 16; i < 48; ++i) {
-    inc.evict_oldest();
-    inc.push(snaps[i]);
-  }
-  EXPECT_EQ(inc.resyncs(), 4u);  // 32 evictions / 8
-  EXPECT_EQ(inc.size(), 16u);
-  // 32 downdates happened but at most 7 since the last resync: the sum must
-  // sit bitwise on the batch value at each resync point. Force one more.
-  inc.resync();
-  const std::vector<std::vector<cdouble>> ref(snaps.begin() + 32,
-                                              snaps.begin() + 48);
-  expect_bitwise_equal(inc.covariance({}),
-                       m2ai::dsp::sample_covariance(ref, {}));
 }
 
 // --------------------------------------------------------- StreamAssembler
@@ -345,6 +293,74 @@ TEST(ServeService, DeterministicAcrossStreamCountsAndMatchesOffline) {
       EXPECT_EQ(preds[0].label, offline[static_cast<std::size_t>(s % 2)])
           << "stream " << s << " of " << num_streams;
       EXPECT_GE(preds[0].latency_ms, 0.0);
+    }
+  }
+}
+
+// A stream longer than the sequence slides its window: every closed window
+// from the T-th on is one request over the last T frames, served from the
+// per-stream feature ring (each frame featurized once, on its DSP worker).
+// Every label must equal offline predict on the matching T-frame slice of
+// the batch frames, at one worker and at several.
+TEST(ServeService, SlidingWindowsMatchOfflineSlices) {
+  m2ai::core::PipelineConfig config;
+  config.windows_per_sample = 9;
+  constexpr int kSeq = 3;  // T: 7 sliding windows per stream
+  m2ai::core::Pipeline pipeline(config, 31);
+  const double t0 = config.bootstrap_sec + 0.5 * config.window_sec;
+
+  std::vector<m2ai::core::SampleRun> runs;
+  runs.push_back(pipeline.run_sample(4, pipeline.fork_sample_rng()));
+  runs.push_back(pipeline.run_sample(9, pipeline.fork_sample_rng()));
+
+  m2ai::core::ModelConfig model_config;
+  m2ai::core::M2AINetwork reference(model_config, config.feature_mode,
+                                    pipeline.num_tags(), config.num_antennas, 12);
+  // offline[r][i]: the label of run r's frames [i - T + 1, i].
+  std::vector<std::vector<int>> offline(runs.size());
+  for (std::size_t r = 0; r < runs.size(); ++r) {
+    const m2ai::core::FrameSequence& frames = runs[r].sample.frames;
+    ASSERT_EQ(frames.size(), static_cast<std::size_t>(config.windows_per_sample));
+    offline[r].assign(frames.size(), -1);
+    for (std::size_t i = kSeq - 1; i < frames.size(); ++i) {
+      const m2ai::core::FrameSequence slice(frames.begin() + (i + 1 - kSeq),
+                                            frames.begin() + (i + 1));
+      offline[r][i] = reference.predict(slice);
+    }
+  }
+
+  for (const int workers : {1, 3}) {
+    m2ai::serve::ServeConfig serve_config;
+    serve_config.dsp_workers = workers;
+    serve_config.sequence_frames = kSeq;
+    serve_config.max_batch = 4;
+    const int num_streams = 6;
+    m2ai::serve::Service service(serve_config, config, reference.clone());
+    for (int s = 0; s < num_streams; ++s) {
+      service.add_stream(runs[static_cast<std::size_t>(s % 2)].calibrator.get(), t0);
+    }
+    service.start();
+    std::thread producer([&] {
+      for (int s = 0; s < num_streams; ++s) {
+        for (const auto& report : runs[static_cast<std::size_t>(s % 2)].reports) {
+          service.push(s, report);
+        }
+      }
+    });
+    producer.join();
+    service.finish();
+
+    for (int s = 0; s < num_streams; ++s) {
+      const std::vector<int>& want = offline[static_cast<std::size_t>(s % 2)];
+      const auto& preds = service.predictions(s);
+      ASSERT_EQ(preds.size(), want.size() - (kSeq - 1))
+          << "stream " << s << ", " << workers << " workers";
+      for (std::size_t k = 0; k < preds.size(); ++k) {
+        EXPECT_EQ(preds[k].frame_index, k + kSeq - 1) << "stream " << s;
+        EXPECT_EQ(preds[k].label, want[preds[k].frame_index])
+            << "stream " << s << ", window " << preds[k].frame_index << ", "
+            << workers << " workers";
+      }
     }
   }
 }
