@@ -31,6 +31,9 @@ Service::Service(ServeConfig serve, core::PipelineConfig pipeline,
   if (sequence_frames_ < 1) {
     throw std::invalid_argument("Service: sequence_frames must be >= 1");
   }
+  // Built here, not in start(): a Worker holds wake epochs (not movable),
+  // and offer() may notify a worker's epoch before start().
+  workers_ = std::vector<Worker>(static_cast<std::size_t>(serve_.dsp_workers));
 }
 
 Service::~Service() {
@@ -67,7 +70,6 @@ void Service::start() {
   if (finished_) throw std::logic_error("Service::start: already finished");
   started_ = true;
   const int workers = serve_.dsp_workers;
-  workers_.resize(static_cast<std::size_t>(workers));
   for (Worker& w : workers_) {
     w.network = network_->clone();
     w.requests = std::make_unique<par::SpscQueue<Request>>(serve_.request_capacity);
@@ -82,12 +84,20 @@ void Service::start() {
 
 bool Service::offer(int stream, const sim::TagReport& report) {
   Stream& s = *streams_[static_cast<std::size_t>(stream)];
-  return s.ingest->try_push(
-      StampedReport{report, obs::timeline_now_ns()});
+  if (!s.ingest->try_push(StampedReport{report, obs::timeline_now_ns()})) {
+    return false;
+  }
+  workers_[static_cast<std::size_t>(stream % serve_.dsp_workers)].work.notify();
+  return true;
 }
 
 void Service::push(int stream, const sim::TagReport& report) {
-  while (!offer(stream, report)) std::this_thread::yield();
+  par::WakeEpoch& space = streams_[static_cast<std::size_t>(stream)]->space;
+  for (;;) {
+    const std::uint32_t seen = space.load();  // before the attempt: see wake_epoch.hpp
+    if (offer(stream, report)) return;
+    space.wait(seen);
+  }
 }
 
 void Service::push_bytes(int stream, const std::uint8_t* data, std::size_t n) {
@@ -104,6 +114,7 @@ void Service::finish() {
   }
   finished_ = true;
   for (auto& s : streams_) s->producer_done.store(true, std::memory_order_release);
+  for (Worker& w : workers_) w.work.notify();
   for (auto& t : dsp_threads_) t.join();
   // All workers have flushed and bumped workers_done_; the NN thread exits
   // once every request ring is empty.
@@ -179,7 +190,12 @@ void Service::request_prediction(int stream_index, Worker& worker,
   obs::timeline_flow_start("serve.request", request.flow);
   // Backpressure: a full request ring stalls this DSP worker (and, as its
   // ingest rings fill, eventually the producers) instead of dropping work.
-  while (!worker.requests->try_push(std::move(request))) std::this_thread::yield();
+  for (;;) {
+    const std::uint32_t seen = worker.request_space.load();
+    if (worker.requests->try_push(std::move(request))) break;
+    worker.request_space.wait(seen);
+  }
+  nn_wake_.notify();
 }
 
 void Service::dsp_loop(int worker) {
@@ -189,9 +205,11 @@ void Service::dsp_loop(int worker) {
     return static_cast<int>(i % static_cast<std::size_t>(serve_.dsp_workers)) ==
            worker;
   };
-  bool all_done = false;
-  while (!all_done) {
-    all_done = true;
+  for (;;) {
+    // Read before the scan, so a report pushed after the scan looked at its
+    // ring still wakes the wait below (wake_epoch.hpp).
+    const std::uint32_t seen = self.work.load();
+    bool all_done = true;
     bool idle = true;
     for (std::size_t i = 0; i < streams_.size(); ++i) {
       if (!owns(i)) continue;
@@ -199,17 +217,22 @@ void Service::dsp_loop(int worker) {
       StampedReport sr;
       // Bounded drain per visit keeps one hot stream from starving the
       // worker's other streams.
-      for (int budget = 256; budget > 0 && s.ingest->try_pop(sr); --budget) {
-        idle = false;
+      int budget = 256;
+      for (; budget > 0 && s.ingest->try_pop(sr); --budget) {
         on_frames(static_cast<int>(i), self, s.assembler->ingest(sr.report),
                   sr.enqueue_ns);
+      }
+      if (budget < 256) {
+        idle = false;
+        s.space.notify();  // a producer may be waiting in push()
       }
       if (!(s.producer_done.load(std::memory_order_acquire) &&
             s.ingest->empty_approx())) {
         all_done = false;
       }
     }
-    if (idle && !all_done) std::this_thread::yield();
+    if (all_done) break;
+    if (idle) self.work.wait(seen);
   }
   // End of every owned stream: close the in-progress window, and if a stream
   // never accumulated a full sequence, predict once on what it has.
@@ -223,6 +246,7 @@ void Service::dsp_loop(int worker) {
     }
   }
   workers_done_.fetch_add(1, std::memory_order_release);
+  nn_wake_.notify();
 }
 
 void Service::nn_loop() {
@@ -235,12 +259,20 @@ void Service::nn_loop() {
   // others' rings.
   std::size_t first = 0;
   for (;;) {
+    const std::uint32_t seen = nn_wake_.load();  // before the scan, as in dsp_loop
     batch.clear();
     for (std::size_t k = 0; k < workers_.size() && batch.size() < serve_.max_batch; ++k) {
       Worker& w = workers_[(first + k) % workers_.size()];
+      const std::size_t before = batch.size();
       Request r;
       while (batch.size() < serve_.max_batch && w.requests->try_pop(r)) {
         batch.push_back(std::move(r));
+      }
+      // A worker blocked in request_prediction is woken once its ring is at
+      // most half full, not after every pop: at saturation this thread is
+      // the bottleneck, and a wake per batch costs it a futex syscall.
+      if (batch.size() > before && w.requests->size_approx() <= w.requests->capacity() / 2) {
+        w.request_space.notify();
       }
     }
     first = (first + 1) % workers_.size();
@@ -250,7 +282,7 @@ void Service::nn_loop() {
         for (Worker& w : workers_) drained = drained && w.requests->empty_approx();
         if (drained) break;
       }
-      std::this_thread::yield();
+      nn_wake_.wait(seen);
       continue;
     }
     obs::ScopedSpan span("serve.nn_batch");

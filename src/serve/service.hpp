@@ -33,6 +33,11 @@
 // window to the moment its micro-batch's NN call returns, recorded in the
 // "serve.e2e_ms" histogram (recorded even when the obs switch is off, so
 // ServiceStats is always meaningful).
+//
+// Idle threads sleep: every thread that can wait for another — a DSP worker
+// for reports, the NN thread for requests, a producer or a DSP worker for
+// space on a full ring — blocks on a par::WakeEpoch that the thread on the
+// other end of the ring bumps, so an idle service uses no CPU (DESIGN.md §9).
 #pragma once
 
 #include <atomic>
@@ -45,6 +50,7 @@
 #include "core/model.hpp"
 #include "obs/metrics.hpp"
 #include "par/spsc_queue.hpp"
+#include "par/wake_epoch.hpp"
 #include "proto/parser.hpp"
 #include "serve/assembler.hpp"
 
@@ -106,7 +112,8 @@ class Service {
   // Non-blocking ingest; false when the stream's ring is full. At most one
   // producer thread per stream (SPSC contract).
   bool offer(int stream, const sim::TagReport& report);
-  // Blocking ingest (yields until the ring drains).
+  // Blocking ingest: on a full ring, sleeps until the stream's DSP worker
+  // has popped from it.
   void push(int stream, const sim::TagReport& report);
 
   // Wire ingest: feed a raw reader byte chunk (JRD-4035-style frames, see
@@ -144,6 +151,8 @@ class Service {
     std::unique_ptr<core::M2AINetwork> network;  // runs frame_features only
     std::unique_ptr<par::SpscQueue<Request>> requests;  // to the NN thread
     obs::Counter* frames = nullptr;  // "serve.frames", resolved once
+    par::WakeEpoch work;           // bumped by offer() on owned streams, finish()
+    par::WakeEpoch request_space;  // bumped by the NN thread as the ring drains
   };
   struct Stream {
     std::unique_ptr<StreamAssembler> assembler;
@@ -153,6 +162,7 @@ class Service {
     proto::FrameParser parser;
     std::vector<sim::TagReport> parse_buf;
     std::atomic<bool> producer_done{false};
+    par::WakeEpoch space;  // bumped by the DSP worker after popping reports
     // DSP-worker-private sliding sequence state: the features of the last
     // (at most T) closed frames.
     std::deque<nn::Tensor> recent;
@@ -180,6 +190,7 @@ class Service {
   std::vector<std::thread> dsp_threads_;
   std::thread nn_thread_;
   std::atomic<int> workers_done_{0};
+  par::WakeEpoch nn_wake_;  // bumped per request pushed and per worker exit
   bool started_ = false;
   bool finished_ = false;
 

@@ -1,6 +1,7 @@
 // Streaming serve layer:
 //   * SpscQueue — FIFO integrity single-threaded and under a concurrent
 //     producer/consumer (the TSan CI job runs these for the race contract);
+//   * WakeEpoch — no lost wake-up over 100k ping-pong hand-offs;
 //   * IncrementalCovariance — bitwise equality with the batch
 //     sample_covariance;
 //   * StreamAssembler — frames bitwise identical to core::FrameBuilder over
@@ -9,21 +10,33 @@
 //   * Service — end-to-end determinism: N streams replaying a sample give
 //     the offline prediction for that sample, independent of stream count,
 //     worker count, and batch size; every sliding window of a long stream
-//     gives the offline prediction for its T-frame slice; and its
+//     gives the offline prediction for its T-frame slice, also when reports
+//     trickle in one at a time; an idle service sleeps; and its
 //     start/finish lifecycle.
+//
+// A lost wake-up leaves a thread asleep for good, so the tests that could
+// meet one run under a Watchdog, which turns the hang into a failure.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <complex>
+#include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
+#include <ctime>
 #include <functional>
+#include <mutex>
 #include <thread>
 #include <vector>
 
 #include "core/model.hpp"
 #include "core/pipeline.hpp"
 #include "kern/backend.hpp"
+#include "obs/metrics.hpp"
 #include "par/spsc_queue.hpp"
+#include "par/wake_epoch.hpp"
 #include "serve/assembler.hpp"
 #include "serve/incremental.hpp"
 #include "serve/service.hpp"
@@ -32,6 +45,45 @@
 namespace {
 
 using m2ai::dsp::cdouble;
+
+// Generous even under TSan; a healthy run of any guarded scope takes ~1 s.
+constexpr std::chrono::seconds kWatchdogLimit{60};
+
+// Aborts the test binary when the scope it guards outlives `limit`.
+class Watchdog {
+ public:
+  Watchdog(const char* what, std::chrono::seconds limit)
+      : thread_([this, what, limit] {
+          std::unique_lock<std::mutex> lock(mu_);
+          if (!cv_.wait_for(lock, limit, [this] { return done_; })) {
+            std::fprintf(stderr, "%s: still running after %lld s (lost wake-up?)\n",
+                         what, static_cast<long long>(limit.count()));
+            std::abort();
+          }
+        }) {}
+  ~Watchdog() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      done_ = true;
+    }
+    cv_.notify_one();
+    thread_.join();
+  }
+  Watchdog(const Watchdog&) = delete;
+  Watchdog& operator=(const Watchdog&) = delete;
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool done_ = false;
+  std::thread thread_;  // last: starts after the members it reads
+};
+
+double process_cpu_s() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
+}
 
 std::vector<std::vector<cdouble>> random_snapshots(std::size_t count,
                                                    std::size_t n,
@@ -127,6 +179,51 @@ TEST(SpscQueue, MoveOnlyPayload) {
   ASSERT_TRUE(q.try_pop(out));
   ASSERT_NE(out, nullptr);
   EXPECT_EQ(*out, 42);
+}
+
+// ---------------------------------------------------------------- WakeEpoch
+
+TEST(WakeEpoch, WaitReturnsAtOnceAfterANotify) {
+  m2ai::par::WakeEpoch wake;
+  const std::uint32_t seen = wake.load();
+  wake.notify();
+  EXPECT_NE(wake.load(), seen);
+  wake.wait(seen);  // must not block: the epoch moved past `seen`
+}
+
+// Two threads hand a token back and forth, each sleeping on its own epoch
+// until the other has moved the token. Every hand-off is one
+// publish/notify against one load/check/wait, so a single lost wake-up
+// leaves both threads asleep and the watchdog fails the test.
+TEST(WakeEpoch, PingPongNeverLosesAWakeUp) {
+  constexpr int kRoundTrips = 100000;
+  m2ai::par::WakeEpoch ping_wake;
+  m2ai::par::WakeEpoch pong_wake;
+  std::atomic<int> ping{0};
+  std::atomic<int> pong{0};
+  const auto await = [](m2ai::par::WakeEpoch& wake, const std::atomic<int>& value,
+                        int want) {
+    for (;;) {
+      const std::uint32_t seen = wake.load();
+      if (value.load(std::memory_order_acquire) == want) return;
+      wake.wait(seen);
+    }
+  };
+  Watchdog watchdog("WakeEpoch ping-pong", kWatchdogLimit);
+  std::thread responder([&] {
+    for (int i = 1; i <= kRoundTrips; ++i) {
+      await(ping_wake, ping, i);
+      pong.store(i, std::memory_order_release);
+      pong_wake.notify();
+    }
+  });
+  for (int i = 1; i <= kRoundTrips; ++i) {
+    ping.store(i, std::memory_order_release);
+    ping_wake.notify();
+    await(pong_wake, pong, i);
+  }
+  responder.join();
+  EXPECT_EQ(pong.load(), kRoundTrips);
 }
 
 // ------------------------------------------------- IncrementalCovariance
@@ -301,7 +398,10 @@ TEST(ServeService, DeterministicAcrossStreamCountsAndMatchesOffline) {
 // from the T-th on is one request over the last T frames, served from the
 // per-stream feature ring (each frame featurized once, on its DSP worker).
 // Every label must equal offline predict on the matching T-frame slice of
-// the batch frames, at one worker and at several.
+// the batch frames, at one worker and at several, and when the reports
+// trickle in: one report per push with a pause after each, long enough for
+// the DSP workers and the NN thread to fall asleep, so every report has to
+// wake them.
 TEST(ServeService, SlidingWindowsMatchOfflineSlices) {
   m2ai::core::PipelineConfig config;
   config.windows_per_sample = 9;
@@ -329,7 +429,13 @@ TEST(ServeService, SlidingWindowsMatchOfflineSlices) {
     }
   }
 
-  for (const int workers : {1, 3}) {
+  struct Case {
+    int workers;
+    bool trickle;
+  };
+  for (const Case c : {Case{1, false}, Case{3, false}, Case{2, true}}) {
+    const int workers = c.workers;
+    Watchdog watchdog("SlidingWindowsMatchOfflineSlices", kWatchdogLimit);
     m2ai::serve::ServeConfig serve_config;
     serve_config.dsp_workers = workers;
     serve_config.sequence_frames = kSeq;
@@ -340,26 +446,55 @@ TEST(ServeService, SlidingWindowsMatchOfflineSlices) {
       service.add_stream(runs[static_cast<std::size_t>(s % 2)].calibrator.get(), t0);
     }
     service.start();
+    // Recorded for every label, obs switch on or off; safe to poll.
+    m2ai::obs::Histogram& labels = m2ai::obs::registry().histogram("serve.e2e_ms");
+    const std::uint64_t labels_before = labels.snapshot().count;
     std::thread producer([&] {
-      for (int s = 0; s < num_streams; ++s) {
-        for (const auto& report : runs[static_cast<std::size_t>(s % 2)].reports) {
-          service.push(s, report);
+      if (!c.trickle) {
+        for (int s = 0; s < num_streams; ++s) {
+          for (const auto& report : runs[static_cast<std::size_t>(s % 2)].reports) {
+            service.push(s, report);
+          }
+        }
+        return;
+      }
+      // Streams interleaved report by report, so every window of every
+      // stream closes on a woken worker.
+      const std::size_t longest =
+          std::max(runs[0].reports.size(), runs[1].reports.size());
+      for (std::size_t k = 0; k < longest; ++k) {
+        for (int s = 0; s < num_streams; ++s) {
+          const auto& reports = runs[static_cast<std::size_t>(s % 2)].reports;
+          if (k >= reports.size()) continue;
+          service.push(s, reports[k]);
+          std::this_thread::sleep_for(std::chrono::microseconds(20));
         }
       }
     });
     producer.join();
+    if (c.trickle) {
+      // Every window but each stream's last, which finish()'s flush closes,
+      // must be labelled before finish() wakes anything: a report whose
+      // wake-up got lost would sit in its ring until the watchdog fires.
+      const auto before_flush = static_cast<std::uint64_t>(
+          num_streams * (config.windows_per_sample - kSeq));
+      while (labels.snapshot().count - labels_before < before_flush) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    }
     service.finish();
 
     for (int s = 0; s < num_streams; ++s) {
       const std::vector<int>& want = offline[static_cast<std::size_t>(s % 2)];
       const auto& preds = service.predictions(s);
       ASSERT_EQ(preds.size(), want.size() - (kSeq - 1))
-          << "stream " << s << ", " << workers << " workers";
+          << "stream " << s << ", " << workers << " workers"
+          << (c.trickle ? ", trickle" : "");
       for (std::size_t k = 0; k < preds.size(); ++k) {
         EXPECT_EQ(preds[k].frame_index, k + kSeq - 1) << "stream " << s;
         EXPECT_EQ(preds[k].label, want[preds[k].frame_index])
             << "stream " << s << ", window " << preds[k].frame_index << ", "
-            << workers << " workers";
+            << workers << " workers" << (c.trickle ? ", trickle" : "");
       }
     }
   }
@@ -478,6 +613,35 @@ TEST(ServeService, ManyStreamsFewWorkersDrainCleanly) {
   for (int s = 0; s < num_streams; ++s) {
     EXPECT_EQ(service.predictions(s).size(), 1u);
   }
+}
+
+// An idle service sleeps: with streams registered and no report arriving,
+// its DSP workers and NN thread block on their wake epochs. Spinning, they
+// would burn about one core each.
+TEST(ServeService, IdleServiceSleeps) {
+  m2ai::core::PipelineConfig config;
+  m2ai::core::ModelConfig model_config;
+  auto network = std::make_unique<m2ai::core::M2AINetwork>(
+      model_config, config.feature_mode, config.num_persons * config.tags_per_person,
+      config.num_antennas, 12);
+  m2ai::serve::ServeConfig serve_config;
+  serve_config.dsp_workers = 2;
+  m2ai::serve::Service service(serve_config, config, std::move(network));
+  for (int s = 0; s < 4; ++s) service.add_stream(nullptr, 0.0);
+  service.start();
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));  // threads settle
+
+  const auto wall0 = std::chrono::steady_clock::now();
+  const double cpu0 = process_cpu_s();
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  const double cpu_s = process_cpu_s() - cpu0;
+  const double wall_s =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0).count();
+  {
+    Watchdog watchdog("IdleServiceSleeps finish", kWatchdogLimit);
+    service.finish();
+  }
+  EXPECT_LT(cpu_s / wall_s, 0.10) << cpu_s << " CPU s over " << wall_s << " s idle";
 }
 
 // finish() before start() ends the service for good. start() must refuse:

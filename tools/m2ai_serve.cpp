@@ -21,6 +21,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -262,7 +263,25 @@ int main(int argc, char** argv) {
             }
           }
         }
-        if (!progressed && running) std::this_thread::yield();
+        if (!progressed && running) {
+          // Nothing went out this pass. Paced with nothing due yet: sleep
+          // until the earliest due report. Otherwise a ring is full
+          // (unthrottled, or a due report was refused): yield and retry.
+          double next_due = std::numeric_limits<double>::infinity();
+          if (rate_hz > 0.0) {
+            for (const Cursor& c : cursors) {
+              if (!c.done) next_due = std::min(next_due, static_cast<double>(c.sent) / rate_hz);
+            }
+            if (duration_sec > 0.0) next_due = std::min(next_due, duration_sec);
+          }
+          if (std::isfinite(next_due) && next_due > elapsed) {
+            std::this_thread::sleep_until(
+                t_start + std::chrono::duration_cast<clock::duration>(
+                              std::chrono::duration<double>(next_due)));
+          } else {
+            std::this_thread::yield();
+          }
+        }
       }
       // Sent-report accounting must be exact for the sustained check: frame
       // out whatever a duration cutoff left unflushed.
