@@ -19,14 +19,27 @@
 namespace m2ai::kern {
 
 // y[r] = (bias ? bias[r] : 0) + sum_k w[r*cols + k] * x[k], k ascending.
-// Matches the naive Dense/LSTM-gate loops bit for bit.
+// Matches the naive Dense loop bit for bit. The nest is k-outer / row-inner,
+// so the rows' independent accumulator chains run side by side (and
+// vectorize) instead of one latency-bound chain per row; y must not alias w
+// or x.
 inline void gemv(const float* w, const float* x, const float* bias, float* y,
                  int rows, int cols) {
+  for (int r = 0; r < rows; ++r) y[r] = bias != nullptr ? bias[r] : 0.0f;
+  for (int k = 0; k < cols; ++k) {
+    const float xk = x[k];
+    const float* wk = w + k;
+    for (int r = 0; r < rows; ++r) y[r] += wk[static_cast<std::size_t>(r) * cols] * xk;
+  }
+}
+
+// at[k*rows + r] = a[r*cols + k]: the [cols, rows] operand gemm_bias needs
+// to compute y = a x + b with gemv's per-element order.
+inline void transpose(const float* a, int rows, int cols, float* at) {
   for (int r = 0; r < rows; ++r) {
-    const float* wr = w + static_cast<std::size_t>(r) * cols;
-    float acc = bias != nullptr ? bias[r] : 0.0f;
-    for (int k = 0; k < cols; ++k) acc += wr[k] * x[k];
-    y[r] = acc;
+    for (int k = 0; k < cols; ++k) {
+      at[static_cast<std::size_t>(k) * rows + r] = a[static_cast<std::size_t>(r) * cols + k];
+    }
   }
 }
 
@@ -99,6 +112,8 @@ inline void gemm_bias(const float* a, const float* b, const float* bias, float* 
 // k's in ascending order — bitwise-identical to the naive per-element loop.
 // `partial` must be zeroed (or hold the running per-channel partial sums the
 // caller wants to extend) before the first call for an output row.
+// nn::Conv1d runs its own de-strided loop nest with this per-element order;
+// the kernel stays in the backend table for kern::measure_micro.
 inline void conv1d_row_acc(const float* x, int len, const float* w, int kernel,
                            int stride, int padding, float* partial, int out_len) {
   for (int k = 0; k < kernel; ++k) {

@@ -1,11 +1,8 @@
 #include "nn/conv1d.hpp"
 
+#include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <stdexcept>
-
-#include "kern/backend.hpp"
-#include "kern/kernels.hpp"
 
 namespace m2ai::nn {
 
@@ -42,39 +39,64 @@ Tensor Conv1d::forward(const Tensor& input, bool train) {
   const float* x = input.data();
   const float* w = weight_.value.data();
   float* out = y.data();
-  // Per input channel the valid taps are accumulated k-ascending into a
-  // zeroed partial row (kern::conv1d_row_acc), then folded into the output —
-  // the same per-element sums, in the same order, as the old per-output
-  // scalar loop, but with the bounds tests hoisted out of the inner loop.
+  // One loop nest for training and evaluation under every backend, vectorized
+  // across output positions without reordering any element's sum:
+  //  - Each input row is de-strided once into `stride` phase rows,
+  //    phase[ph][m] = x[m*stride + ph], so the values tap k reads,
+  //    x[ol*stride + k - padding], form one contiguous (shifted) phase row.
+  //  - Every tap keeps exact bounds: it only touches the ol in [lo, hi)
+  //    whose input lies inside [0, len) — no zero-padded taps (DESIGN §6).
+  //  - Per (ic, oc) a zeroed partial row takes its valid taps k-ascending,
+  //    kOcBlock output channels per pass so each phase value is loaded once
+  //    per block; out_channels is padded to the block size with zero-weight
+  //    rows that are never folded.
+  //  - Then y = bias + sum_ic partial[ic], ic ascending: the old per-element
+  //    loop's order, bit for bit.
+  constexpr int kOcBlock = 4;
+  const int oc_pad = (out_channels_ + kOcBlock - 1) / kOcBlock * kOcBlock;
+  const int phase_len = (len + stride_ - 1) / stride_;
+  const std::size_t n_out = static_cast<std::size_t>(out_len);
+  const std::size_t oc_rows = static_cast<std::size_t>(out_channels_) * n_out;
   ws_.reset();
-  float* partial = ws_.alloc(static_cast<std::size_t>(out_len));
-  // Training pins the reference kernel (bitwise-reproducible checkpoints);
-  // evaluation dispatches to the active backend.
-  const kern::Backend& be = train ? kern::reference_backend() : kern::active();
-  // The fast backend is epsilon-equivalent anyway, so it may skip the
-  // partial row and accumulate taps straight into the bias-seeded output —
-  // dropping a zero + fold pass per (oc, ic) pair. The reference keeps the
-  // partial+fold structure, whose per-element order the bitwise contract
-  // pins.
-  const bool acc_in_place = &be != &kern::reference_backend();
-  for (int oc = 0; oc < out_channels_; ++oc) {
-    float* y_oc = out + static_cast<std::size_t>(oc) * out_len;
-    const float b = bias_.value[static_cast<std::size_t>(oc)];
-    for (int ol = 0; ol < out_len; ++ol) y_oc[ol] = b;
-    for (int ic = 0; ic < in_channels_; ++ic) {
-      const float* x_ic = x + static_cast<std::size_t>(ic) * len;
-      const float* w_row =
-          w + (static_cast<std::size_t>(oc) * in_channels_ + ic) * kernel_;
-      if (acc_in_place) {
-        be.conv1d_row_acc(x_ic, len, w_row, kernel_, stride_, padding_, y_oc,
-                          out_len);
-        continue;
-      }
-      std::memset(partial, 0, static_cast<std::size_t>(out_len) * sizeof(float));
-      be.conv1d_row_acc(x_ic, len, w_row, kernel_, stride_, padding_, partial,
-                        out_len);
-      for (int ol = 0; ol < out_len; ++ol) y_oc[ol] += partial[ol];
+  float* phases = ws_.alloc(static_cast<std::size_t>(in_channels_) * stride_ * phase_len);
+  float* partial = ws_.alloc_zero(static_cast<std::size_t>(in_channels_) * oc_pad * n_out);
+  for (int ic = 0; ic < in_channels_; ++ic) {
+    for (int ph = 0; ph < stride_; ++ph) {
+      const float* xs = x + static_cast<std::size_t>(ic) * len + ph;
+      float* row = phases + (static_cast<std::size_t>(ic) * stride_ + ph) * phase_len;
+      for (int m = 0; m * stride_ + ph < len; ++m) row[m] = xs[static_cast<std::size_t>(m) * stride_];
     }
+  }
+  for (int k = 0; k < kernel_; ++k) {
+    const int off = k - padding_;  // x index at ol == 0
+    const int lo = off < 0 ? std::min(out_len, (-off + stride_ - 1) / stride_) : 0;
+    const int hi = off < len ? std::min(out_len, (len - 1 - off) / stride_ + 1) : 0;
+    const int ph = ((off % stride_) + stride_) % stride_;
+    const int shift = (off - ph) / stride_;  // x[ol*stride + off] = phase[ph][ol + shift]
+    for (int ic = 0; ic < in_channels_; ++ic) {
+      const float* t = phases + (static_cast<std::size_t>(ic) * stride_ + ph) * phase_len;
+      for (int oc = 0; oc < out_channels_; oc += kOcBlock) {
+        float wb[kOcBlock];
+        for (int j = 0; j < kOcBlock; ++j) {
+          wb[j] = oc + j < out_channels_
+                      ? w[((static_cast<std::size_t>(oc) + j) * in_channels_ + ic) * kernel_ + k]
+                      : 0.0f;
+        }
+        float* p = partial + (static_cast<std::size_t>(ic) * oc_pad + oc) * n_out;
+        for (int ol = lo; ol < hi; ++ol) {
+          const float tv = t[ol + shift];
+          for (int j = 0; j < kOcBlock; ++j) p[j * n_out + ol] += wb[j] * tv;
+        }
+      }
+    }
+  }
+  for (int oc = 0; oc < out_channels_; ++oc) {
+    const float b = bias_.value[static_cast<std::size_t>(oc)];
+    for (int ol = 0; ol < out_len; ++ol) out[oc * n_out + ol] = b;
+  }
+  for (int ic = 0; ic < in_channels_; ++ic) {
+    const float* p = partial + static_cast<std::size_t>(ic) * oc_pad * n_out;
+    for (std::size_t i = 0; i < oc_rows; ++i) out[i] += p[i];
   }
   if (train) cache_.push_back(input);
   return y;

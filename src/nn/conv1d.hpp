@@ -33,7 +33,7 @@ class Conv1d : public Layer {
   Param weight_;  // [C_out, C_in, K]
   Param bias_;    // [C_out]
   std::deque<Tensor> cache_;
-  kern::Workspace ws_;  // per-channel partial-sum row, reused across calls
+  kern::Workspace ws_;  // per-tap gathered rows + per-(oc, ic) partial rows
 };
 
 }  // namespace m2ai::nn

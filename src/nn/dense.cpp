@@ -35,17 +35,11 @@ Tensor Dense::forward(const Tensor& input, bool train) {
 
 void Dense::forward_batch(const float* x, int batch, float* y,
                           kern::Workspace& ws) const {
-  // WT[k, j] = W[j, k]: gemm_bias wants the [in, out] operand so each output
-  // row accumulates k-ascending — the same per-element order as forward()'s
-  // gemv, making this bitwise-identical to `batch` forward() calls under the
+  // Over Wᵀ each output accumulates k-ascending — forward()'s gemv order,
+  // making this bitwise-identical to `batch` forward() calls under the
   // reference backend.
   float* wt = ws.alloc(static_cast<std::size_t>(in_) * out_);
-  const float* w = weight_.value.data();
-  for (int j = 0; j < out_; ++j) {
-    for (int k = 0; k < in_; ++k) {
-      wt[static_cast<std::size_t>(k) * out_ + j] = w[static_cast<std::size_t>(j) * in_ + k];
-    }
-  }
+  kern::transpose(weight_.value.data(), out_, in_, wt);
   kern::active().gemm_bias(x, wt, bias_.value.data(), y, batch, in_, out_);
 }
 

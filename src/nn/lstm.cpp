@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 
 #include "kern/backend.hpp"
 #include "kern/kernels.hpp"
@@ -40,8 +41,11 @@ std::vector<Tensor> Lstm::forward(const std::vector<Tensor>& inputs, bool train)
   const int rows = 4 * h_size;
 
   kern::Workspace& ws = train ? train_ws_ : scratch_ws_;
-  // Pre-activations are transient either way; the zero initial state must
-  // outlive this call in training mode (backward reads step 0's c_prev).
+  // Wᵀ and the pre-activations are transient either way; the zero initial
+  // state must outlive this call in training mode (backward reads step 0's
+  // c_prev).
+  float* wt = scratch_ws_.alloc(static_cast<std::size_t>(joint) * rows);
+  kern::transpose(weight_.value.data(), rows, joint, wt);
   float* z = scratch_ws_.alloc(static_cast<std::size_t>(rows));
   const float* zeros = ws.alloc_zero(static_cast<std::size_t>(h_size));
   // Evaluation reuses one packed input and one in-place cell buffer.
@@ -71,8 +75,10 @@ std::vector<Tensor> Lstm::forward(const std::vector<Tensor>& inputs, bool train)
     std::memcpy(xh, x.data(), static_cast<std::size_t>(in_size) * sizeof(float));
     std::memcpy(xh + in_size, h_prev, static_cast<std::size_t>(h_size) * sizeof(float));
 
-    // z = W [x; h_prev] + b, gate blocks [i; f; g; o], one fused GEMV.
-    be.gemv(weight_.value.data(), xh, bias_.value.data(), z, rows, joint);
+    // z = W [x; h_prev] + b, gate blocks [i; f; g; o]: one m=1 GEMM over
+    // Wᵀ, which vectorizes across the 4H gate rows and adds each row's terms
+    // in gemv's order.
+    be.gemm_bias(xh, wt, bias_.value.data(), z, 1, joint, rows);
 
     float* gates = train ? ws.alloc(static_cast<std::size_t>(rows)) : z;
     float* c = train ? ws.alloc(static_cast<std::size_t>(h_size)) : c_eval;
@@ -115,19 +121,10 @@ std::vector<std::vector<Tensor>> Lstm::forward_batch(
   const int rows = 4 * h_size;
 
   scratch_ws_.reset();
-  // WT[k, j] = W[j, k]: the [joint, 4H] operand gemm_bias needs so each
-  // sample's gate row accumulates k-ascending — the same per-element order
-  // as forward()'s gemv, making this bitwise-identical to `batch` separate
-  // forward(·, false) calls under the reference backend.
+  // The same Wᵀ operand as forward(), so each sample's gate rows get
+  // forward()'s per-element order.
   float* wt = scratch_ws_.alloc(static_cast<std::size_t>(joint) * rows);
-  {
-    const float* w = weight_.value.data();
-    for (int j = 0; j < rows; ++j) {
-      for (int k = 0; k < joint; ++k) {
-        wt[static_cast<std::size_t>(k) * rows + j] = w[static_cast<std::size_t>(j) * joint + k];
-      }
-    }
-  }
+  kern::transpose(weight_.value.data(), rows, joint, wt);
   float* xh = scratch_ws_.alloc(batch * static_cast<std::size_t>(joint));
   float* z = scratch_ws_.alloc(batch * static_cast<std::size_t>(rows));
   float* c = scratch_ws_.alloc_zero(batch * static_cast<std::size_t>(h_size));
@@ -185,6 +182,13 @@ std::vector<Tensor> Lstm::backward(const std::vector<Tensor>& grad_outputs) {
   const int joint = in_size + h_size;
   const int rows = 4 * h_size;
   const std::size_t t_len = steps_.size();
+  for (std::size_t t = 0; t < t_len; ++t) {
+    if (static_cast<int>(grad_outputs[t].size()) != h_size) {
+      throw std::invalid_argument("Lstm::backward: grad_outputs[" + std::to_string(t) +
+                                  "] has " + std::to_string(grad_outputs[t].size()) +
+                                  " values, expected " + std::to_string(h_size));
+    }
+  }
 
   scratch_ws_.reset();
   float* dh = scratch_ws_.alloc(static_cast<std::size_t>(h_size));
@@ -198,9 +202,6 @@ std::vector<Tensor> Lstm::backward(const std::vector<Tensor>& grad_outputs) {
 
   for (std::size_t rt = t_len; rt-- > 0;) {
     const StepView& step = steps_[rt];
-    if (static_cast<int>(grad_outputs[rt].size()) != h_size) {
-      throw std::invalid_argument("Tensor::add_scaled: size mismatch");
-    }
     const float* go = grad_outputs[rt].data();
     for (int u = 0; u < h_size; ++u) dh[u] = go[u] + 1.0f * dh_next[u];
 

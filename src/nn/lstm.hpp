@@ -4,10 +4,11 @@
 // time. Stacked pairs of these (2 x 32 cells in the paper) encode the CNN
 // features frame by frame.
 //
-// All four gates of a timestep are computed as one 4H x (I+H) GEMV against
-// the packed [x; h_prev] vector (kern::gemv), and the per-step BPTT caches
-// live in a flat workspace arena instead of nine Tensors per step — both
-// bitwise-identical to the per-gate scalar loops they replaced.
+// All four gates of a timestep are computed as one m=1 GEMM (kern::gemm_bias)
+// of the packed [x; h_prev] vector against Wᵀ, transposed into scratch once
+// per forward call, and the per-step BPTT caches live in a flat workspace
+// arena instead of nine Tensors per step — both bitwise-identical to the
+// per-gate scalar loops they replaced.
 #pragma once
 
 #include <vector>
@@ -34,9 +35,10 @@ class Lstm {
   // Evaluation-only batched forward over equal-length sequences:
   // outputs[b][t] = h_t for *seqs[b], from zero initial state. Each timestep
   // runs ONE gemm_bias over the packed [batch, I+H] inputs instead of
-  // `batch` gemvs — the serving micro-batch fast path. Under the reference
+  // `batch` m=1 GEMMs — the serving micro-batch path. Under the reference
   // backend the result is bitwise-identical to calling forward(·, false)
-  // per sequence (gemm_bias accumulates each element in gemv's order).
+  // per sequence (each output row of gemm_bias depends only on its input
+  // row).
   // Keeps no caches; backward() after this throws on the cache mismatch.
   std::vector<std::vector<Tensor>> forward_batch(
       const std::vector<const std::vector<Tensor>*>& seqs);

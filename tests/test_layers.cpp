@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <string>
 
+#include "kern/backend.hpp"
 #include "nn/activations.hpp"
 #include "nn/conv1d.hpp"
 #include "nn/dense.hpp"
@@ -165,6 +169,73 @@ TEST(Conv1d, InputGradCheck) {
   };
   const auto result = check_input_gradient(run, x, gin);
   EXPECT_TRUE(result.ok) << "max rel err " << result.max_rel_error;
+}
+
+// The per-element loop Conv1d::forward replaced: exact tap bounds (no
+// zero-padded taps), each input channel's taps summed k-ascending from +0,
+// then bias + the channel partials in ic order.
+Tensor naive_conv1d(Conv1d& conv, const Tensor& x, int kernel, int stride,
+                    int padding) {
+  const Tensor& w = conv.params()[0]->value;
+  const Tensor& b = conv.params()[1]->value;
+  const int in_ch = x.dim(0), len = x.dim(1), out_ch = conv.out_channels();
+  const int out_len = conv.output_length(len);
+  Tensor y({out_ch, out_len});
+  for (int oc = 0; oc < out_ch; ++oc) {
+    for (int ol = 0; ol < out_len; ++ol) {
+      float acc = b[static_cast<std::size_t>(oc)];
+      for (int ic = 0; ic < in_ch; ++ic) {
+        float part = 0.0f;
+        for (int k = 0; k < kernel; ++k) {
+          const int pos = ol * stride - padding + k;
+          if (pos < 0 || pos >= len) continue;
+          part += w[(static_cast<std::size_t>(oc) * in_ch + ic) * kernel + k] * x.at(ic, pos);
+        }
+        acc += part;
+      }
+      y.at(oc, ol) = acc;
+    }
+  }
+  return y;
+}
+
+TEST(Conv1d, ForwardBitwiseMatchesNaivePerElementLoop) {
+  const kern::BackendKind saved = kern::active_backend_kind();
+  // {in, out, kernel, stride, padding, len}: CONV-E1/E2/E3 and CONV-F at the
+  // model's shapes, then stride > kernel, padding >= kernel - 1 (outputs with
+  // no valid tap), output length 1, one input channel, and out_channels that
+  // are not a multiple of the loop's channel block.
+  const int shapes[][6] = {{6, 8, 7, 2, 3, 180}, {8, 12, 5, 3, 1, 90},
+                           {12, 16, 5, 5, 0, 30}, {6, 8, 2, 1, 0, 4},
+                           {3, 5, 2, 4, 1, 17},   {2, 3, 3, 1, 4, 5},
+                           {3, 2, 5, 1, 0, 5},    {2, 6, 4, 3, 1, 3},
+                           {1, 4, 3, 2, 1, 11},   {1, 1, 1, 1, 0, 1}};
+  std::vector<kern::BackendKind> backends{kern::BackendKind::kReference};
+  if (kern::fast_backend_supported()) backends.push_back(kern::BackendKind::kFast);
+  util::Rng rng(12);
+  for (const auto& s : shapes) {
+    Conv1d conv(s[0], s[1], s[2], s[3], s[4], rng);
+    conv.params()[1]->value.randomize_normal(rng, 1.0f);
+    // An infinite tap-0 weight makes a zero-padded tap visible: it would add
+    // inf * 0 = NaN to outputs whose tap 0 falls outside the input.
+    conv.params()[0]->value[0] = std::numeric_limits<float>::infinity();
+    Tensor x = random_tensor({s[0], s[5]}, rng);
+    for (std::size_t i = 0; i < x.size(); i += 3) x[i] = (i % 2 == 0) ? 0.0f : -0.0f;
+    const Tensor want = naive_conv1d(conv, x, s[2], s[3], s[4]);
+    for (const kern::BackendKind be : backends) {
+      kern::set_backend(be);
+      for (const bool train : {false, true}) {
+        const Tensor got = conv.forward(x, train);
+        conv.clear_cache();
+        ASSERT_EQ(got.shape(), want.shape());
+        EXPECT_EQ(0, std::memcmp(got.data(), want.data(), got.size() * sizeof(float)))
+            << "shape {" << s[0] << "," << s[1] << "," << s[2] << "," << s[3] << ","
+            << s[4] << "," << s[5] << "} backend " << kern::active_backend_name()
+            << " train " << train;
+      }
+    }
+  }
+  kern::set_backend(saved);
 }
 
 TEST(ReLU, ForwardClampsNegatives) {

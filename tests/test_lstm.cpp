@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <utility>
 
+#include "kern/backend.hpp"
 #include "nn/gradcheck.hpp"
 
 namespace m2ai::nn {
@@ -58,6 +62,85 @@ TEST(Lstm, BackwardRequiresMatchingLength) {
   lstm.forward(random_sequence(4, 2, rng), true);
   std::vector<Tensor> grads(3, Tensor({3}));
   EXPECT_THROW(lstm.backward(grads), std::logic_error);
+}
+
+TEST(Lstm, BackwardRejectsWrongSizeGradNamingTheStep) {
+  util::Rng rng(4);
+  Lstm lstm(2, 3, rng);
+  lstm.forward(random_sequence(4, 2, rng), true);
+  std::vector<Tensor> grads(4, Tensor({3}));
+  grads[1] = Tensor({2});
+  try {
+    lstm.backward(grads);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("Lstm::backward"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("grad_outputs[1] has 2 values, expected 3"), std::string::npos)
+        << msg;
+  }
+  // Every step is checked before any gradient is accumulated.
+  for (Param* p : lstm.params()) EXPECT_EQ(p->grad.l2_norm(), 0.0f) << p->name;
+}
+
+// The per-gate scalar loop forward() replaced: z_j = b_j + sum_k W[j,k] *
+// [x; h_prev]_k (k ascending), gates [i; f; g; o], then c and h.
+std::vector<Tensor> naive_lstm_forward(Lstm& lstm, const std::vector<Tensor>& xs) {
+  const int in = lstm.input_size(), hid = lstm.hidden_size(), joint = in + hid;
+  const Tensor& w = lstm.params()[0]->value;
+  const Tensor& b = lstm.params()[1]->value;
+  const auto sigmoid = [](float v) { return 1.0f / (1.0f + std::exp(-v)); };
+  std::vector<float> h(static_cast<std::size_t>(hid), 0.0f), c(h), xh(static_cast<std::size_t>(joint));
+  std::vector<float> z(4 * static_cast<std::size_t>(hid));
+  std::vector<Tensor> out;
+  for (const Tensor& x : xs) {
+    for (int k = 0; k < in; ++k) xh[static_cast<std::size_t>(k)] = x[static_cast<std::size_t>(k)];
+    for (int u = 0; u < hid; ++u) xh[static_cast<std::size_t>(in + u)] = h[static_cast<std::size_t>(u)];
+    for (int j = 0; j < 4 * hid; ++j) {
+      float acc = b[static_cast<std::size_t>(j)];
+      for (int k = 0; k < joint; ++k) {
+        acc += w[static_cast<std::size_t>(j) * joint + k] * xh[static_cast<std::size_t>(k)];
+      }
+      z[static_cast<std::size_t>(j)] = acc;
+    }
+    Tensor h_t({hid});
+    for (int u = 0; u < hid; ++u) {
+      const std::size_t i = static_cast<std::size_t>(u);
+      const std::size_t n = static_cast<std::size_t>(hid);
+      const float ig = sigmoid(z[i]);
+      const float fg = sigmoid(z[n + i]);
+      const float gg = std::tanh(z[2 * n + i]);
+      const float og = sigmoid(z[3 * n + i]);
+      c[i] = fg * c[i] + ig * gg;
+      h[i] = og * std::tanh(c[i]);
+      h_t[i] = h[i];
+    }
+    out.push_back(std::move(h_t));
+  }
+  return out;
+}
+
+TEST(Lstm, ForwardBitwiseMatchesNaiveGateLoop) {
+  const kern::BackendKind saved = kern::active_backend_kind();
+  kern::set_backend(kern::BackendKind::kReference);
+  util::Rng rng(15);
+  // The model's layer-1 shape (48 -> 32) and an odd one.
+  for (const auto& [in, hid] : {std::pair{48, 32}, std::pair{5, 7}}) {
+    Lstm lstm(in, hid, rng);
+    lstm.params()[1]->value.randomize_normal(rng, 1.0f);
+    const auto xs = random_sequence(9, in, rng);
+    const auto want = naive_lstm_forward(lstm, xs);
+    for (const bool train : {false, true}) {
+      const auto got = lstm.forward(xs, train);
+      lstm.clear_cache();
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t t = 0; t < got.size(); ++t) {
+        EXPECT_EQ(0, std::memcmp(got[t].data(), want[t].data(), got[t].size() * sizeof(float)))
+            << in << "->" << hid << " train " << train << " step " << t;
+      }
+    }
+  }
+  kern::set_backend(saved);
 }
 
 TEST(Lstm, BpttGradCheck) {

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <utility>
+#include <vector>
+
 #include "kern/backend.hpp"
+#include "kern/kernels.hpp"
 #include "nn/gradcheck.hpp"
 #include "nn/optimizer.hpp"
 
@@ -210,6 +216,81 @@ TEST(M2AINetwork, FullGradCheckTinyModel) {
   EXPECT_GT(result.fraction_within, 0.9)
       << "fraction " << result.fraction_within << ", max rel err "
       << result.max_rel_error;
+}
+
+// Integer-derived floats in [-1, 1) with at most 24 significant bits, so the
+// values are exact on every host (no libm, no float rounding on the way in).
+struct BitsLcg {
+  std::uint32_t state;
+  float next() {
+    state = state * 1664525u + 1013904223u;
+    return static_cast<float>(static_cast<std::int32_t>(state) >> 8) * 0x1p-23f;
+  }
+};
+
+struct BitsHash {
+  std::uint64_t h = 1469598103934665603ull;  // FNV-1a 64
+  void add(const float* v, std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      std::uint32_t u;
+      std::memcpy(&u, &v[i], sizeof u);
+      h = (h ^ u) * 1099511628211ull;
+    }
+  }
+};
+
+// Pins the bits of frame_features (CNN branches + merge, eval mode) and of
+// the gemv / gemm_bias kernels at the model's shapes across commits: a
+// loop-order change that reorders any element's sum changes the hash. These
+// paths call no libm function, so the constant does not depend on the host's
+// libm; weights and inputs come from an integer generator for the same reason.
+TEST(GoldenBits, FrameFeaturesGemvAndGemmBiasMatchPinnedHash) {
+  const kern::BackendKind saved = kern::active_backend_kind();
+  kern::set_backend(kern::BackendKind::kReference);
+  BitsLcg gen{12345u};
+  BitsHash hash;
+
+  ModelConfig model;  // merge 48, LSTM 2 x 32: the paper's engine
+  M2AINetwork net(model, FeatureMode::kM2AI, 6, 4, 12);
+  for (nn::Param* p : net.params()) {
+    for (std::size_t i = 0; i < p->value.size(); ++i) p->value[i] = 0.25f * gen.next();
+  }
+  for (int t = 0; t < 4; ++t) {
+    SpectrumFrame f;
+    f.has_pseudo = f.has_aux = true;
+    f.pseudo = nn::Tensor({6, 180});
+    f.aux = nn::Tensor({6, 4});
+    for (nn::Tensor* x : {&f.pseudo, &f.aux}) {
+      for (std::size_t i = 0; i < x->size(); ++i) (*x)[i] = gen.next();
+    }
+    const nn::Tensor y = net.frame_features(f);
+    ASSERT_EQ(y.size(), 48u);
+    hash.add(y.data(), y.size());
+  }
+
+  // {rows, cols}: the merge FC, the two LSTM gate blocks and the head.
+  for (const auto& [rows, cols] : {std::pair{48, 120}, std::pair{128, 80},
+                                   std::pair{128, 64}, std::pair{12, 32}}) {
+    std::vector<float> w(static_cast<std::size_t>(rows) * cols), wt(w.size());
+    std::vector<float> x(8 * static_cast<std::size_t>(cols)), b(static_cast<std::size_t>(rows));
+    for (float& v : w) v = gen.next();
+    for (float& v : x) v = gen.next();
+    for (float& v : b) v = gen.next();
+    for (int r = 0; r < rows; ++r) {
+      for (int k = 0; k < cols; ++k) {
+        wt[static_cast<std::size_t>(k) * rows + r] = w[static_cast<std::size_t>(r) * cols + k];
+      }
+    }
+    std::vector<float> y(8 * static_cast<std::size_t>(rows));
+    kern::gemv(w.data(), x.data(), b.data(), y.data(), rows, cols);
+    hash.add(y.data(), static_cast<std::size_t>(rows));
+    for (const int m : {1, 8}) {
+      kern::gemm_bias(x.data(), wt.data(), b.data(), y.data(), m, cols, rows);
+      hash.add(y.data(), static_cast<std::size_t>(m) * rows);
+    }
+  }
+  kern::set_backend(saved);
+  EXPECT_EQ(hash.h, 0xaaf0026d2e5505c9ull) << std::hex << hash.h;
 }
 
 TEST(M2AINetwork, LearnsToSeparateSyntheticClasses) {
