@@ -33,16 +33,6 @@ Tensor Dense::forward(const Tensor& input, bool train) {
   return y;
 }
 
-void Dense::forward_batch(const float* x, int batch, float* y,
-                          kern::Workspace& ws) const {
-  // Over Wᵀ each output accumulates k-ascending — forward()'s gemv order,
-  // making this bitwise-identical to `batch` forward() calls under the
-  // reference backend.
-  float* wt = ws.alloc(static_cast<std::size_t>(in_) * out_);
-  kern::transpose(weight_.value.data(), out_, in_, wt);
-  kern::active().gemm_bias(x, wt, bias_.value.data(), y, batch, in_, out_);
-}
-
 Tensor Dense::backward(const Tensor& grad_output) {
   if (cache_.empty()) throw std::logic_error("Dense::backward: no cached forward");
   if (static_cast<int>(grad_output.size()) != out_) {

@@ -3,7 +3,6 @@
 
 #include <deque>
 
-#include "kern/workspace.hpp"
 #include "nn/layer.hpp"
 
 namespace m2ai::nn {
@@ -20,12 +19,6 @@ class Dense : public Layer {
 
   int in_features() const { return in_; }
   int out_features() const { return out_; }
-
-  // Evaluation-only batched forward: x is [batch, in] row-major, y is
-  // [batch, out], both caller-owned; `ws` provides scratch (reset is the
-  // caller's job). One gemm_bias instead of `batch` gemvs; bitwise-identical
-  // to sequential forward(·, false) calls under the reference backend.
-  void forward_batch(const float* x, int batch, float* y, kern::Workspace& ws) const;
 
  private:
   int in_;

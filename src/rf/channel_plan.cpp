@@ -22,10 +22,12 @@ int nearest_channel(double freq_hz) {
 
 int common_channel() { return nearest_channel(kCommonFrequencyHz); }
 
-HopSequence::HopSequence(util::Rng rng) : rng_(rng), base_seed_(rng_.next_u64()) {}
+HopSequence::HopSequence(util::Rng rng) : base_seed_(rng.next_u64()) {}
 
 long HopSequence::hop_index(double t_sec) const {
-  return static_cast<long>(std::floor(t_sec / kDwellTimeSec));
+  // Clamped so every finite time converts to a defined hop count; the clamp
+  // only bites beyond 2^62 dwells.
+  return static_cast<long>(std::clamp(std::floor(t_sec / kDwellTimeSec), -0x1p62, 0x1p62));
 }
 
 std::vector<int> HopSequence::cycle_order(long cycle) const {
@@ -36,11 +38,20 @@ std::vector<int> HopSequence::cycle_order(long cycle) const {
   return order;
 }
 
-int HopSequence::channel_at(double t_sec) const {
+HopSlot HopSequence::slot_at(double t_sec) const {
   const long hop = hop_index(t_sec);
-  const long cycle = hop / kNumChannels;
-  const long pos = hop % kNumChannels;
-  return cycle_order(cycle)[static_cast<std::size_t>(pos)];
+  long cycle = hop / kNumChannels;
+  long pos = hop % kNumChannels;
+  if (pos < 0) {
+    pos += kNumChannels;
+    --cycle;
+  }
+  return HopSlot{cycle, static_cast<int>(pos)};
+}
+
+int HopSequence::channel_at(double t_sec) const {
+  const HopSlot slot = slot_at(t_sec);
+  return cycle_order(slot.cycle)[static_cast<std::size_t>(slot.position)];
 }
 
 }  // namespace m2ai::rf

@@ -20,6 +20,13 @@ int nearest_channel(double freq_hz);
 // Index of the common/reference channel (910.25 MHz).
 int common_channel();
 
+// Where a hop falls in the plan: its 50-hop cycle and its position in that
+// cycle's order, by floor division so negative hops stay in [0, kNumChannels).
+struct HopSlot {
+  long cycle = 0;
+  int position = 0;
+};
+
 // A pseudo-random hopping sequence as mandated by FCC part 15: every channel
 // is visited once per 50-hop cycle, in an order shuffled per cycle.
 class HopSequence {
@@ -32,11 +39,16 @@ class HopSequence {
   // The hop index (monotonic counter) at time `t_sec`.
   long hop_index(double t_sec) const;
 
- private:
-  // Deterministically expands cycle `c` into a permutation of all channels.
+  // The cycle and position of the hop in use at time `t_sec`.
+  HopSlot slot_at(double t_sec) const;
+
+  // Deterministically expands cycle `c` into a permutation of all channels:
+  // channel_at(t) == cycle_order(slot_at(t).cycle)[slot_at(t).position].
+  // A caller walking time forward can keep one cycle's order and expand the
+  // next only when the cycle changes.
   std::vector<int> cycle_order(long cycle) const;
 
-  mutable util::Rng rng_;
+ private:
   std::uint64_t base_seed_;
 };
 

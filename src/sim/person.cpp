@@ -113,9 +113,19 @@ double Person::bend_angle(double t_sec) const {
          (1.0 - std::cos(w * t_sec + params_.phase_offset));
 }
 
+Person::Pose Person::pose_at(double t_sec) const {
+  return Pose{center_at(t_sec), heading_at(t_sec), height_scale(t_sec),
+              jump_offset(t_sec), bend_angle(t_sec)};
+}
+
 double Person::tag_gain(BodySite site, double t_sec, rf::Vec2 toward) const {
-  const rf::Vec2 c = center_at(t_sec);
-  const double heading = heading_at(t_sec);
+  return tag_gain(site, pose_at(t_sec), t_sec, toward);
+}
+
+double Person::tag_gain(BodySite site, const Pose& pose, double t_sec,
+                        rf::Vec2 toward) const {
+  const rf::Vec2 c = pose.center;
+  const double heading = pose.heading;
 
   // Wearer shadowing: tags sit on the front of the body; facing away from
   // the receiver attenuates the backscatter by up to ~12 dB.
@@ -135,10 +145,10 @@ double Person::tag_gain(BodySite site, double t_sec, rf::Vec2 toward) const {
   if (motion_.torso == TorsoType::kJump) {
     // Sharp dips while airborne: the whole body (and every tag on it) is in
     // free motion, far off its polarization-matched stance.
-    gain *= 1.0 - 1.8 * jump_offset(t_sec);
+    gain *= 1.0 - 1.8 * pose.jump;
   }
   {
-    const double bend = bend_angle(t_sec);
+    const double bend = pose.bend;
     if (bend > 0.0 && site != BodySite::kHand) {
       gain *= std::max(0.25, std::cos(1.2 * bend));
     }
@@ -160,14 +170,18 @@ double Person::tag_gain(BodySite site, double t_sec, rf::Vec2 toward) const {
 }
 
 Vec3 Person::tag_position(BodySite site, double t_sec) const {
-  const rf::Vec2 c = center_at(t_sec);
-  const double heading = heading_at(t_sec);
+  return tag_position(site, pose_at(t_sec), t_sec);
+}
+
+Vec3 Person::tag_position(BodySite site, const Pose& pose, double t_sec) const {
+  const rf::Vec2 c = pose.center;
+  const double heading = pose.heading;
   const rf::Vec2 fwd{std::cos(heading), std::sin(heading)};
   const rf::Vec2 side{-fwd.y, fwd.x};
   const double h = params_.height_m;
-  const double hs = height_scale(t_sec);
-  const double jump = jump_offset(t_sec);
-  const double bend = bend_angle(t_sec);
+  const double hs = pose.height_scale;
+  const double jump = pose.jump;
+  const double bend = pose.bend;
 
   // Base (upright, motionless) site offsets in the body frame.
   double lateral = 0.0, forward = 0.0, height = 0.0;

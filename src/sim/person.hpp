@@ -74,7 +74,20 @@ struct BodyParams {
 
 class Person {
  public:
+  // The whole-body state at one instant that every tag site shares.
+  // Evaluating it once and passing it to the Pose overloads below gives the
+  // same bits as the time-only calls, without recomputing the body per call.
+  struct Pose {
+    rf::Vec2 center;
+    double heading = 0.0;
+    double height_scale = 1.0;
+    double jump = 0.0;
+    double bend = 0.0;
+  };
+
   Person(BodyParams params, rf::Vec2 start, double heading_rad, MotionSpec motion);
+
+  Pose pose_at(double t_sec) const;
 
   // Body cylinder at time t (for occlusion tests).
   rf::Vec2 center_at(double t_sec) const;
@@ -82,6 +95,7 @@ class Person {
 
   // 3-D position of a tag site at time t.
   Vec3 tag_position(BodySite site, double t_sec) const;
+  Vec3 tag_position(BodySite site, const Pose& pose, double t_sec) const;
 
   // Effective radiated-gain factor in (0, 1] of a tag toward a receiver at
   // `toward`, at time t. Two real-world effects dominate a passive tag's
@@ -90,6 +104,7 @@ class Person {
   // and (b) posture-driven tag tilt (squat/jump/bend/limb swing rotate the
   // tag's antenna off its polarization-matched plane).
   double tag_gain(BodySite site, double t_sec, rf::Vec2 toward) const;
+  double tag_gain(BodySite site, const Pose& pose, double t_sec, rf::Vec2 toward) const;
 
   const BodyParams& params() const { return params_; }
   const MotionSpec& motion() const { return motion_; }

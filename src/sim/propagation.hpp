@@ -19,6 +19,7 @@
 #pragma once
 
 #include <complex>
+#include <optional>
 #include <vector>
 
 #include "rf/geometry.hpp"
@@ -73,15 +74,39 @@ class PropagationModel {
   std::complex<double> channel(const std::vector<PathContribution>& paths,
                                double wavelength_m) const;
 
+  // The same rays as paths(), each scaled by `tag_gain`, summed straight into
+  // the channel: bitwise channel(paths(...) with every gain *= tag_gain, λ).
+  // Computes no AoA and allocates nothing. nullopt when no ray clears the
+  // floor (paths() would be empty).
+  std::optional<std::complex<double>> channel_sum(const Vec3& tag, const Vec3& antenna,
+                                                  const std::vector<BodyDisk>& bodies,
+                                                  int owner_index, double tag_gain,
+                                                  double wavelength_m) const;
+
   const Environment& environment() const { return env_; }
   const PropagationOptions& options() const { return options_; }
 
  private:
+  // The one ray enumerator behind paths() and channel_sum(): the direct ray,
+  // then each wall, then each scatterer. Calls
+  // visit(kind, length_m, gain, arrival_from, blockers) for every ray whose
+  // gain clears the floor.
+  template <typename Visit>
+  void for_each_ray(const Vec3& tag, const Vec3& antenna,
+                    const std::vector<BodyDisk>& bodies, int owner_index,
+                    Visit&& visit) const;
+
   int count_blockers(rf::Vec2 a, rf::Vec2 b, const std::vector<BodyDisk>& bodies,
                      int skip_person_near_a) const;
+  double body_amplitude(int blockers) const;
 
   Environment env_;
   PropagationOptions options_;
+  // Constant per-ray losses as linear amplitudes, fixed at construction:
+  // per wall, per scatterer, and per body-blocker count.
+  std::vector<double> wall_amplitude_;
+  std::vector<double> scatterer_amplitude_;
+  std::vector<double> body_amplitude_;
 };
 
 }  // namespace m2ai::sim

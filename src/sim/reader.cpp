@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 
 #include "dsp/phase.hpp"
@@ -62,8 +63,12 @@ int Reader::channel_at(double t_sec) const {
 }
 
 int Reader::antenna_at(double t_sec) const {
-  const long slot = static_cast<long>(std::floor(t_sec / config_.slot_sec));
-  return static_cast<int>(slot % num_antennas_);
+  // Floor division and a clamp to a defined long, so every finite time maps
+  // to a port in [0, num_antennas).
+  const long slot = static_cast<long>(
+      std::clamp(std::floor(t_sec / config_.slot_sec), -0x1p62, 0x1p62));
+  const long port = slot % num_antennas_;
+  return static_cast<int>(port < 0 ? port + num_antennas_ : port);
 }
 
 double Reader::hardware_offset(std::uint32_t tag_id, int antenna, int channel) const {
@@ -72,11 +77,60 @@ double Reader::hardware_offset(std::uint32_t tag_id, int antenna, int channel) c
 }
 
 std::vector<TagReport> Reader::run(const Scene& scene, double t_begin, double t_end) {
+  if (!std::isfinite(t_begin) || t_begin < 0.0 || !std::isfinite(t_end)) {
+    throw std::invalid_argument("Reader::run: t_begin must be finite and >= 0, t_end finite");
+  }
   const bool observed = obs::enabled();
   const auto wall_start = std::chrono::steady_clock::now();
   std::vector<TagReport> reports;
   const auto& tags = scene.tags();
   const double slot = config_.slot_sec;
+
+  // What a read takes from the channel h.
+  struct Response {
+    bool any_ray = false;  // false: no ray clears the propagation floor
+    double mag = 0.0;
+    double power_dbm = 0.0;
+    double phase = 0.0;  // arg(h)
+  };
+  std::vector<BodyDisk> bodies;  // Scene::channel_at scratch
+  // A frozen scene pins every pose to t = 0, so h depends only on (tag,
+  // antenna, channel): each is computed once and memoized for this call.
+  const bool frozen = scene.motion_frozen();
+  std::vector<std::optional<Response>> memo(
+      frozen ? tags.size() * static_cast<std::size_t>(num_antennas_) * rf::kNumChannels : 0);
+  auto respond = [&](std::size_t ti, int antenna, int channel, double t, double lambda) {
+    std::optional<Response>* cached = nullptr;
+    if (frozen) {
+      cached = &memo[(ti * static_cast<std::size_t>(num_antennas_) +
+                      static_cast<std::size_t>(antenna)) *
+                         rf::kNumChannels +
+                     static_cast<std::size_t>(channel)];
+      if (*cached) return **cached;
+    }
+    Response r;
+    if (const auto h = scene.channel_at(ti, antenna, t, lambda, bodies)) {
+      r.any_ray = true;
+      r.mag = std::abs(*h);
+      r.power_dbm = config_.rssi_reference_dbm + 20.0 * std::log10(r.mag);
+      r.phase = std::arg(*h);
+    }
+    if (cached) *cached = r;
+    return r;
+  };
+
+  // The current hop cycle's channel order, expanded once per cycle.
+  long cycle = 0;
+  std::vector<int> cycle_order;
+  auto channel_for = [&](double t) {
+    if (!config_.hopping) return rf::common_channel();
+    const rf::HopSlot hop = hops_.slot_at(t);
+    if (cycle_order.empty() || hop.cycle != cycle) {
+      cycle = hop.cycle;
+      cycle_order = hops_.cycle_order(cycle);
+    }
+    return cycle_order[static_cast<std::size_t>(hop.position)];
+  };
 
   for (double slot_start = std::floor(t_begin / slot) * slot; slot_start < t_end;
        slot_start += slot) {
@@ -89,26 +143,23 @@ std::vector<TagReport> Reader::run(const Scene& scene, double t_begin, double t_
         const double t = slot_start + frac * slot;
         if (t < t_begin || t >= t_end) continue;
 
-        const int channel = channel_at(t);
+        const int channel = channel_for(t);
         const double lambda = rf::channel_wavelength_m(channel);
 
-        const auto paths = scene.paths_at(ti, antenna, t);
-        if (paths.empty()) continue;
-        const std::complex<double> h = scene.propagation().channel(paths, lambda);
-        const double mag = std::abs(h);
-        if (mag <= 0.0) continue;
+        const Response response = respond(ti, antenna, channel, t, lambda);
+        if (!response.any_ray || response.mag <= 0.0) continue;
+        const double power_dbm = response.power_dbm;
 
         // Weak-signal dropout: below sensitivity the tag cannot harvest
         // enough energy to respond (Sec. VII: "beyond 6 meters, the RFID tag
         // may not harvest enough energy").
-        const double power_dbm = config_.rssi_reference_dbm + 20.0 * std::log10(mag);
         const double margin_db = power_dbm - config_.sensitivity_dbm;
         if (margin_db < 0.0) {
           const double p_respond = std::max(0.0, 1.0 + margin_db / 12.0);
           if (!rng_.bernoulli(p_respond)) continue;
         }
 
-        double phase = std::arg(h);
+        double phase = response.phase;
         phase += hardware_offset(tags[ti].id, antenna, channel);
         phase += rng_.normal(0.0, config_.phase_noise_std_rad);
         phase = dsp::wrap_2pi(phase);
@@ -122,14 +173,10 @@ std::vector<TagReport> Reader::run(const Scene& scene, double t_begin, double t_
         double doppler = 0.0;
         if (config_.report_doppler) {
           const double dt = 2e-3;  // ~EPC Gen2 read burst duration
-          const auto paths_before = scene.paths_at(ti, antenna, t - dt / 2);
-          const auto paths_after = scene.paths_at(ti, antenna, t + dt / 2);
-          if (!paths_before.empty() && !paths_after.empty()) {
-            const double phi0 =
-                std::arg(scene.propagation().channel(paths_before, lambda));
-            const double phi1 =
-                std::arg(scene.propagation().channel(paths_after, lambda));
-            doppler = dsp::wrap_pi(phi1 - phi0) / dt / (2.0 * M_PI);
+          const Response before = respond(ti, antenna, channel, t - dt / 2, lambda);
+          const Response after = respond(ti, antenna, channel, t + dt / 2, lambda);
+          if (before.any_ray && after.any_ray) {
+            doppler = dsp::wrap_pi(after.phase - before.phase) / dt / (2.0 * M_PI);
           }
         }
 

@@ -78,7 +78,9 @@ class Reader {
   // hop sequence, the offset draw, and all measurement noise.
   Reader(ReaderConfig config, int num_antennas, int max_tags, util::Rng rng);
 
-  // Simulate inventory over [t_begin, t_end); appends reports in time order.
+  // Simulate inventory over [t_begin, t_end); returns reports in time order.
+  // Throws std::invalid_argument unless t_begin is finite and >= 0 and t_end
+  // is finite.
   std::vector<TagReport> run(const Scene& scene, double t_begin, double t_end);
 
   // Channel in use at time t (common channel when hopping is disabled).

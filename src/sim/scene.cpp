@@ -46,21 +46,44 @@ std::vector<BodyDisk> Scene::bodies_at(double t_sec) const {
   return disks;
 }
 
-std::vector<PathContribution> Scene::paths_at(std::size_t tag_index, int antenna,
-                                              double t_sec) const {
+Scene::Link Scene::link_at(std::size_t tag_index, int antenna, double t_sec,
+                           std::vector<BodyDisk>& bodies) const {
   const TagInfo& info = tags_.at(tag_index);
-  const Vec3 tag = tag_position(tag_index, t_sec);
+  const double t = motion_frozen_ ? 0.0 : t_sec;
+  const Person& owner = persons_[static_cast<std::size_t>(info.person_index)];
+  const Person::Pose pose = owner.pose_at(t);
+  bodies.clear();
+  for (std::size_t p = 0; p < persons_.size(); ++p) {
+    const rf::Vec2 center = static_cast<int>(p) == info.person_index
+                                ? pose.center
+                                : persons_[p].center_at(t);
+    bodies.push_back(BodyDisk{center, persons_[p].body_radius(), static_cast<int>(p)});
+  }
   const Vec3 ant = array_.antenna_position(antenna);
-  std::vector<PathContribution> paths =
-      propagation_.paths(tag, ant, bodies_at(t_sec), info.person_index,
-                         array_.origin2d(), array_.axis);
   // Tag orientation / wearer shadowing modulates the tag's backscatter as a
   // whole (it changes what the tag radiates, not a single ray).
-  const double t = motion_frozen_ ? 0.0 : t_sec;
-  const double gain = persons_[static_cast<std::size_t>(info.person_index)].tag_gain(
-      info.site, t, rf::Vec2{ant.x, ant.y});
-  for (PathContribution& p : paths) p.gain *= gain;
+  return Link{owner.tag_position(info.site, pose, t), ant,
+              owner.tag_gain(info.site, pose, t, rf::Vec2{ant.x, ant.y}),
+              info.person_index};
+}
+
+std::vector<PathContribution> Scene::paths_at(std::size_t tag_index, int antenna,
+                                              double t_sec) const {
+  std::vector<BodyDisk> bodies;
+  const Link link = link_at(tag_index, antenna, t_sec, bodies);
+  std::vector<PathContribution> paths =
+      propagation_.paths(link.tag, link.antenna, bodies, link.owner,
+                         array_.origin2d(), array_.axis);
+  for (PathContribution& p : paths) p.gain *= link.tag_gain;
   return paths;
+}
+
+std::optional<std::complex<double>> Scene::channel_at(
+    std::size_t tag_index, int antenna, double t_sec, double wavelength_m,
+    std::vector<BodyDisk>& bodies) const {
+  const Link link = link_at(tag_index, antenna, t_sec, bodies);
+  return propagation_.channel_sum(link.tag, link.antenna, bodies, link.owner,
+                                  link.tag_gain, wavelength_m);
 }
 
 }  // namespace m2ai::sim

@@ -3,7 +3,9 @@
 // needs to synthesize backscatter reports at a given instant.
 #pragma once
 
+#include <complex>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "rf/constants.hpp"
@@ -58,7 +60,30 @@ class Scene {
   std::vector<PathContribution> paths_at(std::size_t tag_index, int antenna,
                                          double t_sec) const;
 
+  // The channel from a tag to an antenna right now at `wavelength_m`:
+  // bitwise propagation().channel(paths_at(tag_index, antenna, t_sec), λ),
+  // summed ray by ray without the path vector or any AoA. nullopt where
+  // paths_at would be empty. `bodies` is scratch the call overwrites; one
+  // vector reused across calls keeps them allocation-free.
+  std::optional<std::complex<double>> channel_at(std::size_t tag_index, int antenna,
+                                                 double t_sec, double wavelength_m,
+                                                 std::vector<BodyDisk>& bodies) const;
+
  private:
+  // One tag -> antenna link at an instant, as paths_at and channel_at feed
+  // it to the propagation model.
+  struct Link {
+    Vec3 tag;
+    Vec3 antenna;
+    double tag_gain = 1.0;
+    int owner = 0;
+  };
+  // Evaluates the wearer's pose once for the tag's position, its gain and
+  // its body cylinder, and every other person's cylinder once, into
+  // `bodies`.
+  Link link_at(std::size_t tag_index, int antenna, double t_sec,
+               std::vector<BodyDisk>& bodies) const;
+
   Environment env_;
   std::vector<Person> persons_;
   ArrayGeometry array_;

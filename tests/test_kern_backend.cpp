@@ -22,8 +22,6 @@
 #include "core/model.hpp"
 #include "kern/backend.hpp"
 #include "kern/kernels.hpp"
-#include "kern/workspace.hpp"
-#include "nn/dense.hpp"
 #include "nn/lstm.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
@@ -272,30 +270,6 @@ TEST(KernBackend, NoiseProjectionEquivalence) {
                    d_fast[static_cast<std::size_t>(bin)],
                    std::to_string(bins) + "x" + std::to_string(n) + "x" +
                        std::to_string(num_noise) + " bin=" + std::to_string(bin));
-    }
-  }
-}
-
-TEST(KernBackend, DenseForwardBatchBitwiseMatchesSequentialUnderReference) {
-  BackendGuard guard;
-  kern::set_backend(kern::BackendKind::kReference);
-  util::Rng rng(106);
-  nn::Dense dense(11, 7, rng);
-  const int batch = 5;
-  const auto x = random_floats(static_cast<std::size_t>(batch) * 11, rng);
-  std::vector<float> y(static_cast<std::size_t>(batch) * 7);
-  kern::Workspace ws;
-  dense.forward_batch(x.data(), batch, y.data(), ws);
-  for (int i = 0; i < batch; ++i) {
-    nn::Tensor xi({11});
-    for (int k = 0; k < 11; ++k) {
-      xi[static_cast<std::size_t>(k)] = x[static_cast<std::size_t>(i) * 11 + k];
-    }
-    const nn::Tensor yi = dense.forward(xi, /*train=*/false);
-    for (int j = 0; j < 7; ++j) {
-      ASSERT_EQ(yi[static_cast<std::size_t>(j)],
-                y[static_cast<std::size_t>(i) * 7 + j])
-          << "sample " << i << " out " << j;
     }
   }
 }

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+
+#include "rf/channel_plan.hpp"
+#include "util/rng.hpp"
 
 namespace m2ai::sim {
 namespace {
@@ -153,6 +158,79 @@ TEST(Propagation, WeakPathsDropped) {
   const auto paths =
       model.paths({0.0, 10.0, 1.25}, {0.0, 0.0, 1.25}, {}, -1, {0, 0}, {1, 0});
   EXPECT_TRUE(paths.empty());  // 1/10 gain < 0.5 floor
+}
+
+// channel_sum against the vector path: paths() with every gain scaled by the
+// tag gain, summed by channel(). Equal means the same bits, not close.
+void expect_sum_matches_paths(const PropagationModel& model, const Vec3& tag,
+                              const Vec3& ant, const std::vector<BodyDisk>& bodies,
+                              int owner, double tag_gain, double lambda) {
+  std::vector<PathContribution> paths =
+      model.paths(tag, ant, bodies, owner, {0.0, 0.0}, {1.0, 0.0});
+  for (PathContribution& p : paths) p.gain *= tag_gain;
+  const auto sum = model.channel_sum(tag, ant, bodies, owner, tag_gain, lambda);
+  ASSERT_EQ(sum.has_value(), !paths.empty());
+  if (!sum) return;
+  const std::complex<double> h = model.channel(paths, lambda);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(sum->real()),
+            std::bit_cast<std::uint64_t>(h.real()));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(sum->imag()),
+            std::bit_cast<std::uint64_t>(h.imag()));
+}
+
+TEST(Propagation, ChannelSumMatchesPathsBitwise) {
+  util::Rng rng(2024);
+  for (const Environment& env : {Environment::laboratory(), Environment::hall()}) {
+    PropagationModel model(env);
+    for (int draw = 0; draw < 1200; ++draw) {
+      const Vec3 tag{rng.uniform(0.2, env.width - 0.2), rng.uniform(0.5, env.depth - 0.2),
+                     rng.uniform(0.3, 2.2)};
+      const Vec3 ant{rng.uniform(0.0, env.width), rng.uniform(0.1, 0.6), 1.25};
+      std::vector<BodyDisk> bodies;
+      const int persons = static_cast<int>(rng.uniform_int(std::uint64_t{4}));
+      for (int p = 0; p < persons; ++p) {
+        bodies.push_back(BodyDisk{{rng.uniform(0.0, env.width), rng.uniform(0.0, env.depth)},
+                                  rng.uniform(0.16, 0.26), p});
+      }
+      const int owner = persons > 0 ? static_cast<int>(rng.uniform_int(
+                                          static_cast<std::uint64_t>(persons)))
+                                    : -1;
+      const double lambda = rf::channel_wavelength_m(
+          static_cast<int>(rng.uniform_int(static_cast<std::uint64_t>(rf::kNumChannels))));
+      expect_sum_matches_paths(model, tag, ant, bodies, owner, rng.uniform(0.05, 1.0),
+                               lambda);
+    }
+  }
+}
+
+TEST(Propagation, ChannelSumIsNulloptWhenEveryRayFallsUnderTheFloor) {
+  PropagationOptions opts;
+  opts.min_relative_gain = 10.0;  // no ray can clear it
+  PropagationModel model(Environment::laboratory(), opts);
+  const Vec3 tag{6.0, 4.0, 1.2};
+  const Vec3 ant{6.9, 0.4, 1.25};
+  EXPECT_TRUE(model.paths(tag, ant, {}, -1, {0, 0}, {1, 0}).empty());
+  EXPECT_FALSE(model.channel_sum(tag, ant, {}, -1, 1.0, 0.33).has_value());
+}
+
+TEST(Propagation, BodyLossIsTheSameFromTableAndBeyondIt) {
+  // Up to 24 bodies stacked across the direct ray: blocker counts inside and
+  // beyond the precomputed body-loss table give friis * 10^(-loss*b/20).
+  PropagationOptions opts = no_extras();
+  opts.body_loss_db = 0.5;
+  opts.min_relative_gain = 0.0;
+  PropagationModel model(Environment::open_space(), opts);
+  const Vec3 tag{0.0, 6.0, 1.25};
+  const Vec3 ant{0.0, 0.0, 1.25};
+  for (int b = 0; b <= 24; ++b) {
+    std::vector<BodyDisk> bodies;
+    for (int i = 0; i < b; ++i) bodies.push_back(BodyDisk{{0.0, 1.0 + 0.2 * i}, 0.05, i});
+    const auto paths = model.paths(tag, ant, bodies, -1, {0, 0}, {1, 0});
+    ASSERT_EQ(paths.size(), 1u);
+    EXPECT_EQ(paths[0].blocked_by, b);
+    EXPECT_EQ(paths[0].gain, (1.0 / 6.0) * 1.0 * std::pow(10.0, -(0.5 * b) / 20.0));
+    expect_sum_matches_paths(model, tag, ant, bodies, -1, 0.7, 0.33);
+  }
 }
 
 }  // namespace

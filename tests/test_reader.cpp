@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <set>
+#include <stdexcept>
 
 #include "dsp/phase.hpp"
 #include "sim/activities.hpp"
@@ -238,6 +242,129 @@ TEST(Reader, AllTagsReported) {
   std::set<std::uint32_t> seen;
   for (const auto& r : reader.run(scene, 0.0, 2.0)) seen.insert(r.tag_id);
   EXPECT_EQ(seen.size(), 6u);
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+void expect_same_reports(const std::vector<TagReport>& a, const std::vector<TagReport>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(bits(a[i].time_sec), bits(b[i].time_sec)) << i;
+    ASSERT_EQ(a[i].tag_id, b[i].tag_id) << i;
+    ASSERT_EQ(a[i].antenna, b[i].antenna) << i;
+    ASSERT_EQ(a[i].channel, b[i].channel) << i;
+    ASSERT_EQ(bits(a[i].phase_rad), bits(b[i].phase_rad)) << i;
+    ASSERT_EQ(bits(a[i].rssi_dbm), bits(b[i].rssi_dbm)) << i;
+    ASSERT_EQ(bits(a[i].doppler_hz), bits(b[i].doppler_hz)) << i;
+  }
+}
+
+TEST(Reader, SameSeedSameReportsFrozenThenMoving) {
+  // The calibration bootstrap's order: a frozen run, then a moving one on
+  // the same reader. Nothing memoized for the frozen run may leak into the
+  // next call.
+  for (const bool doppler : {false, true}) {
+    Scene scene1 = make_scene(2, 3, 4.0, 41);
+    Scene scene2 = make_scene(2, 3, 4.0, 41);
+    ReaderConfig config;
+    config.report_doppler = doppler;
+    Reader r1(config, 4, 6, util::Rng(42));
+    Reader r2(config, 4, 6, util::Rng(42));
+    scene1.set_motion_frozen(true);
+    scene2.set_motion_frozen(true);
+    expect_same_reports(r1.run(scene1, 0.0, 20.0), r2.run(scene2, 0.0, 20.0));
+    scene1.set_motion_frozen(false);
+    scene2.set_motion_frozen(false);
+    expect_same_reports(r1.run(scene1, 20.2, 23.4), r2.run(scene2, 20.2, 23.4));
+  }
+}
+
+TEST(Reader, ReportsMatchPathsAtReferenceBitwise) {
+  // Noise-free, unquantized, no dropout: every report is a deterministic
+  // function of paths_at, so each field can be derived again here from the
+  // vector path and compared bit for bit. One reader runs a frozen scene, the
+  // same scene moving, then a second frozen scene, so a channel memoized in
+  // one call would show up wrong in a later one. The runs cross the 20 s
+  // hop-cycle boundary.
+  ReaderConfig config;
+  config.quantize = false;
+  config.phase_noise_std_rad = 0.0;
+  config.rssi_noise_std_db = 0.0;
+  config.sensitivity_dbm = -1000.0;
+  config.report_doppler = true;
+  const double dt = 2e-3;  // the reader's Doppler read burst
+  Scene first = make_scene(2, 3, 4.0, 51);
+  Scene second = make_scene(2, 3, 3.0, 53);
+  Reader reader(config, 4, 6, util::Rng(52));
+  struct Leg {
+    Scene* scene;
+    bool frozen;
+    double t0, t1;
+  };
+  for (const Leg& leg : {Leg{&first, true, 0.0, 20.8}, Leg{&first, false, 20.8, 22.0},
+                         Leg{&second, true, 22.0, 23.2}}) {
+    Scene& scene = *leg.scene;
+    scene.set_motion_frozen(leg.frozen);
+    const auto reports = reader.run(scene, leg.t0, leg.t1);
+    // Two reads per tag per 25 ms slot, none dropped.
+    EXPECT_EQ(reports.size(),
+              static_cast<std::size_t>(std::llround((leg.t1 - leg.t0) / 0.025)) * 6 * 2);
+    for (const TagReport& r : reports) {
+      ASSERT_EQ(r.channel, reader.channel_at(r.time_sec));
+      ASSERT_EQ(r.antenna, reader.antenna_at(r.time_sec));
+      const std::size_t tag = r.tag_id - 1;
+      const double lambda = rf::channel_wavelength_m(r.channel);
+      const auto h = scene.propagation().channel(scene.paths_at(tag, r.antenna, r.time_sec),
+                                                 lambda);
+      double phase = std::arg(h);
+      phase += reader.hardware_offset(r.tag_id, r.antenna, r.channel);
+      phase += 0.0;  // normal(0, 0)
+      phase = dsp::wrap_2pi(phase);
+      ASSERT_EQ(bits(r.phase_rad), bits(dsp::wrap_2pi(phase))) << r.time_sec;
+      const double power = config.rssi_reference_dbm + 20.0 * std::log10(std::abs(h));
+      ASSERT_EQ(bits(r.rssi_dbm), bits(power + 0.0)) << r.time_sec;
+      const double phi0 = std::arg(scene.propagation().channel(
+          scene.paths_at(tag, r.antenna, r.time_sec - dt / 2), lambda));
+      const double phi1 = std::arg(scene.propagation().channel(
+          scene.paths_at(tag, r.antenna, r.time_sec + dt / 2), lambda));
+      ASSERT_EQ(bits(r.doppler_hz), bits(dsp::wrap_pi(phi1 - phi0) / dt / (2.0 * M_PI)))
+          << r.time_sec;
+    }
+  }
+}
+
+TEST(Reader, AntennaAtNegativeTimeFloorsToAValidPort) {
+  Reader reader(ReaderConfig{}, 4, 3, util::Rng(60));
+  // Slot -1 is [-25 ms, 0): port 3, continuing the 0, 1, 2, 3 rotation.
+  EXPECT_EQ(reader.antenna_at(-0.010), 3);
+  EXPECT_EQ(reader.antenna_at(-0.030), 2);
+  EXPECT_EQ(reader.antenna_at(-0.110), 3);
+  for (double t = -7.0; t < 0.0; t += 0.0123) {
+    const int ant = reader.antenna_at(t);
+    ASSERT_GE(ant, 0);
+    ASSERT_LT(ant, 4);
+    EXPECT_EQ(ant, reader.antenna_at(t + 0.1));  // 4 slots later, same port
+    EXPECT_NO_THROW(reader.hardware_offset(1, ant, reader.channel_at(t)));
+  }
+  for (const double t : {-1e300, -1e18, 1e18, 1e300}) {
+    const int ant = reader.antenna_at(t);
+    EXPECT_GE(ant, 0);
+    EXPECT_LT(ant, 4);
+  }
+}
+
+TEST(Reader, RunRejectsNegativeOrNonFiniteTimes) {
+  Scene scene = make_scene();
+  Reader reader(ReaderConfig{}, 4, 3, util::Rng(61));
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(reader.run(scene, -0.1, 1.0), std::invalid_argument);
+  EXPECT_THROW(reader.run(scene, nan, 1.0), std::invalid_argument);
+  EXPECT_THROW(reader.run(scene, inf, inf), std::invalid_argument);
+  EXPECT_THROW(reader.run(scene, -inf, 1.0), std::invalid_argument);
+  EXPECT_THROW(reader.run(scene, 0.0, inf), std::invalid_argument);
+  EXPECT_THROW(reader.run(scene, 0.0, nan), std::invalid_argument);
+  EXPECT_TRUE(reader.run(scene, 1.0, 1.0).empty());
 }
 
 }  // namespace

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
+#include "rf/channel_plan.hpp"
 #include "sim/activities.hpp"
 
 namespace m2ai::sim {
@@ -107,6 +111,77 @@ TEST(Scene, TagGainModulatesPathGains) {
   ASSERT_FALSE(p_facing.empty());
   ASSERT_FALSE(p_away.empty());
   EXPECT_GT(p_facing[0].gain, p_away[0].gain * 1.5);
+}
+
+// Scene::channel_at against the vector path at the same instant: the same
+// bits, and nullopt exactly where paths_at is empty.
+void expect_channel_matches_paths(const Scene& scene, std::size_t tag, int ant,
+                                  double t, int channel,
+                                  std::vector<BodyDisk>& scratch) {
+  const double lambda = rf::channel_wavelength_m(channel);
+  const auto paths = scene.paths_at(tag, ant, t);
+  const auto h = scene.channel_at(tag, ant, t, lambda, scratch);
+  ASSERT_EQ(h.has_value(), !paths.empty()) << "tag " << tag << " t " << t;
+  if (!h) return;
+  const std::complex<double> ref = scene.propagation().channel(paths, lambda);
+  ASSERT_EQ(std::bit_cast<std::uint64_t>(h->real()), std::bit_cast<std::uint64_t>(ref.real()))
+      << "tag " << tag << " antenna " << ant << " t " << t << " channel " << channel;
+  ASSERT_EQ(std::bit_cast<std::uint64_t>(h->imag()), std::bit_cast<std::uint64_t>(ref.imag()))
+      << "tag " << tag << " antenna " << ant << " t " << t << " channel " << channel;
+}
+
+TEST(Scene, ChannelAtMatchesPathsAtBitwise) {
+  // Both environments, frozen and moving, every activity: 2 x 2 x 12 x 30
+  // random (tag, antenna, t, channel) draws. Times reach past the bootstrap
+  // and include t +- 1 ms pairs, the instants the reader's Doppler branch
+  // evaluates.
+  util::Rng draw(77);
+  std::vector<BodyDisk> scratch;
+  int compared = 0;
+  for (const Environment& env : {Environment::laboratory(), Environment::hall()}) {
+    for (int activity = 1; activity <= 12; ++activity) {
+      ArrayGeometry array;
+      array.center = Vec3{env.width / 2.0, 0.4, 1.25};
+      util::Rng rng(static_cast<std::uint64_t>(100 + activity));
+      auto people = instantiate_activity(activity, 1 + activity % 3, env,
+                                         array.origin2d(), {}, rng);
+      Scene scene(env, std::move(people), array, 3);
+      for (const bool frozen : {true, false}) {
+        scene.set_motion_frozen(frozen);
+        for (int i = 0; i < 30; ++i) {
+          const auto tag = static_cast<std::size_t>(draw.uniform_int(
+              static_cast<std::uint64_t>(scene.tags().size())));
+          const int ant = static_cast<int>(draw.uniform_int(std::uint64_t{4}));
+          const int channel = static_cast<int>(
+              draw.uniform_int(static_cast<std::uint64_t>(rf::kNumChannels)));
+          const double t = draw.uniform(0.0, 30.0);
+          expect_channel_matches_paths(scene, tag, ant, t, channel, scratch);
+          expect_channel_matches_paths(scene, tag, ant, t - 1e-3, channel, scratch);
+          expect_channel_matches_paths(scene, tag, ant, t + 1e-3, channel, scratch);
+          compared += 3;
+        }
+      }
+    }
+  }
+  EXPECT_GE(compared, 1000);
+}
+
+TEST(Scene, ChannelAtIsNulloptWhenEveryRayFallsUnderTheFloor) {
+  Environment env = Environment::laboratory();
+  ArrayGeometry array;
+  array.center = Vec3{env.width / 2.0, 0.4, 1.25};
+  util::Rng rng(8);
+  auto people = instantiate_activity(3, 2, env, array.origin2d(), {}, rng);
+  PropagationOptions floor_above_all;
+  floor_above_all.min_relative_gain = 10.0;
+  Scene scene(env, std::move(people), array, 3, floor_above_all);
+  std::vector<BodyDisk> scratch;
+  for (std::size_t tag = 0; tag < scene.tags().size(); ++tag) {
+    for (int ant = 0; ant < 4; ++ant) {
+      EXPECT_TRUE(scene.paths_at(tag, ant, 1.5).empty());
+      EXPECT_FALSE(scene.channel_at(tag, ant, 1.5, 0.33, scratch).has_value());
+    }
+  }
 }
 
 }  // namespace
