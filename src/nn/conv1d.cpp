@@ -4,6 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "kern/kernels.hpp"
+
 namespace m2ai::nn {
 
 Conv1d::Conv1d(int in_channels, int out_channels, int kernel, int stride,
@@ -124,9 +126,39 @@ Tensor Conv1d::backward(const Tensor& grad_output) {
 
   const float* x = xt.data();
   const float* g = grad_output.data();
-  const float* w = weight_.value.data();
-  float* wg = weight_.grad.data();
-  float* gi = grad_in.data();
+  // Reference order (DESIGN §6, restated in test_layers): per (oc, ic, ol)
+  // with ol ascending, skip a zero g, then walk the output's valid taps
+  // k-ascending, adding go * x into the weight gradient and go * w into the
+  // input gradient. This nest adds exactly those terms to every element in
+  // that order, but vectorizes across the (k, ic) pairs of one output:
+  //  - The input and its gradient are held position-major (xT[pos][ic]),
+  //    the weights and their gradient per oc as [k][ic]. Output ol's valid
+  //    taps then cover one contiguous run c in [k_lo*IC, k_hi*IC) of both,
+  //    starting at xT[(ol*stride - padding)*IC]: a GEMM row over c,
+  //    wgT[oc][c] += go * xT[start*IC + c] and giT[start*IC + c] +=
+  //    go * wT[oc][c]. Each row keeps exact tap bounds and a zero g skips
+  //    its row, so no w*0 or 0*x term is ever added (non-finite values).
+  //  - Rows run oc-outer, ol ascending, so each weight-gradient element takes
+  //    its terms ol ascending and each input-gradient element oc then ol
+  //    ascending, as before. Within a row every c is a different element.
+  //  - Transposing in and out moves values without arithmetic; giT starts
+  //    at +0, as the reference's zeroed grad_in does.
+  const int ic_n = in_channels_;
+  const int kc = ic_n * kernel_;
+  const std::size_t n_w = static_cast<std::size_t>(out_channels_) * kc;
+  const std::size_t n_x = static_cast<std::size_t>(ic_n) * len;
+  ws_.reset();
+  float* xT = ws_.alloc(n_x);
+  float* giT = ws_.alloc_zero(n_x);
+  float* wT = ws_.alloc(n_w);
+  float* wgT = ws_.alloc(n_w);
+  nonzero_.resize(static_cast<std::size_t>(out_len));
+  kern::transpose(x, ic_n, len, xT);
+  for (int oc = 0; oc < out_channels_; ++oc) {
+    const std::size_t o = static_cast<std::size_t>(oc) * kc;
+    kern::transpose(weight_.value.data() + o, ic_n, kernel_, wT + o);
+    kern::transpose(weight_.grad.data() + o, ic_n, kernel_, wgT + o);
+  }
 
   for (int oc = 0; oc < out_channels_; ++oc) {
     const float* g_oc = g + static_cast<std::size_t>(oc) * out_len;
@@ -134,28 +166,34 @@ Tensor Conv1d::backward(const Tensor& grad_output) {
     for (int ol = 0; ol < out_len; ++ol) bias_acc += g_oc[ol];
     bias_.grad[static_cast<std::size_t>(oc)] += bias_acc;
 
-    for (int ic = 0; ic < in_channels_; ++ic) {
-      const float* x_ic = x + static_cast<std::size_t>(ic) * len;
-      float* gi_ic = gi + static_cast<std::size_t>(ic) * len;
-      const std::size_t row = (static_cast<std::size_t>(oc) * in_channels_ + ic) *
-                              static_cast<std::size_t>(kernel_);
-      const float* w_row = w + row;
-      float* wg_row = wg + row;
-      for (int ol = 0; ol < out_len; ++ol) {
-        const float go = g_oc[ol];
-        if (go == 0.0f) continue;
-        const int start = ol * stride_ - padding_;
-        const int k_lo = start < 0 ? -start : 0;
-        const int k_hi = std::min(kernel_, len - start);
-        const float* xs = x_ic + start;
-        float* gs = gi_ic + start;
-        for (int k = k_lo; k < k_hi; ++k) {
-          wg_row[k] += go * xs[k];
-          gs[k] += go * w_row[k];
-        }
+    const float* w_oc = wT + static_cast<std::size_t>(oc) * kc;
+    float* wg_oc = wgT + static_cast<std::size_t>(oc) * kc;
+    // The zero-g skip, hoisted out of the row loop as a branch-free list of
+    // the outputs with a non-zero gradient (ReLU zeroes about half).
+    int n_nonzero = 0;
+    for (int ol = 0; ol < out_len; ++ol) {
+      nonzero_[static_cast<std::size_t>(n_nonzero)] = ol;
+      n_nonzero += g_oc[ol] != 0.0f;
+    }
+    for (int i = 0; i < n_nonzero; ++i) {
+      const int ol = nonzero_[static_cast<std::size_t>(i)];
+      const float go = g_oc[ol];
+      const int start = ol * stride_ - padding_;
+      const int lo = std::max(0, -start) * ic_n;
+      const int hi = std::min(kernel_, len - start) * ic_n;
+      const std::ptrdiff_t base = static_cast<std::ptrdiff_t>(start) * ic_n;
+      for (int c = lo; c < hi; ++c) {
+        wg_oc[c] += go * xT[base + c];
+        giT[base + c] += go * w_oc[c];
       }
     }
   }
+
+  for (int oc = 0; oc < out_channels_; ++oc) {
+    const std::size_t o = static_cast<std::size_t>(oc) * kc;
+    kern::transpose(wgT + o, kernel_, ic_n, weight_.grad.data() + o);
+  }
+  kern::transpose(giT, len, ic_n, grad_in.data());
   return grad_in;
 }
 

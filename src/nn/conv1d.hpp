@@ -4,6 +4,7 @@
 #pragma once
 
 #include <deque>
+#include <vector>
 
 #include "kern/workspace.hpp"
 #include "nn/layer.hpp"
@@ -33,7 +34,8 @@ class Conv1d : public Layer {
   Param weight_;  // [C_out, C_in, K]
   Param bias_;    // [C_out]
   std::deque<Tensor> cache_;
-  kern::Workspace ws_;  // per-tap gathered rows + per-(oc, ic) partial rows
+  kern::Workspace ws_;        // per-call scratch rows of forward and backward
+  std::vector<int> nonzero_;  // backward: outputs of one oc with a non-zero gradient
 };
 
 }  // namespace m2ai::nn

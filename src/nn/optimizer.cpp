@@ -22,10 +22,20 @@ void zero_gradients(const std::vector<Param*>& params) {
   for (Param* p : params) p->grad.zero();
 }
 
+namespace {
+// The optimizer state tensor of `p`, zero-initialized on first use. Looking
+// up before constructing keeps the steady state free of throwaway Tensors
+// (try_emplace would build its argument on every call).
+Tensor& state_for(std::map<Param*, Tensor>& state, Param* p) {
+  auto it = state.find(p);
+  if (it == state.end()) it = state.emplace(p, Tensor(p->value.shape())).first;
+  return it->second;
+}
+}  // namespace
+
 void Sgd::step(const std::vector<Param*>& params) {
   for (Param* p : params) {
-    auto [it, inserted] = velocity_.try_emplace(p, Tensor(p->value.shape()));
-    Tensor& vel = it->second;
+    Tensor& vel = state_for(velocity_, p);
     for (std::size_t i = 0; i < p->value.size(); ++i) {
       float g = p->grad[i] + static_cast<float>(weight_decay_) * p->value[i];
       vel[i] = static_cast<float>(momentum_) * vel[i] - static_cast<float>(lr_) * g;
@@ -40,8 +50,11 @@ void Adam::step(const std::vector<Param*>& params) {
   const double bc1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
   const double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
   for (Param* p : params) {
-    Tensor& m = m_.try_emplace(p, Tensor(p->value.shape())).first->second;
-    Tensor& v = v_.try_emplace(p, Tensor(p->value.shape())).first->second;
+    Tensor& m = state_for(m_, p);
+    Tensor& v = state_for(v_, p);
+    // Vectorizes: this file is built with -fno-math-errno (src/CMakeLists.txt),
+    // which drops std::sqrt's errno branch. vh is never negative, so the
+    // correctly rounded square root is the same either way.
     for (std::size_t i = 0; i < p->value.size(); ++i) {
       const double g = p->grad[i] + weight_decay_ * p->value[i];
       m[i] = static_cast<float>(beta1_ * m[i] + (1.0 - beta1_) * g);

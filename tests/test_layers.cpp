@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "kern/backend.hpp"
 #include "nn/activations.hpp"
@@ -236,6 +238,113 @@ TEST(Conv1d, ForwardBitwiseMatchesNaivePerElementLoop) {
     }
   }
   kern::set_backend(saved);
+}
+
+// The pre-vectorization Conv1d::backward, restated: per (oc, ic, ol) with
+// ol ascending, skip a zero gradient, then walk the output's valid taps
+// k-ascending, adding into the weight gradient and the input gradient.
+// Returns the input gradient; the weight and bias gradients accumulate into
+// `wg` and `bg`.
+Tensor naive_conv1d_backward(const Tensor& w, const Tensor& x, const Tensor& g, int kernel,
+                             int stride, int padding, Tensor& wg, Tensor& bg) {
+  const int in_ch = x.dim(0), len = x.dim(1), out_ch = g.dim(0), out_len = g.dim(1);
+  Tensor gi({in_ch, len});
+  for (int oc = 0; oc < out_ch; ++oc) {
+    float bias_acc = 0.0f;
+    for (int ol = 0; ol < out_len; ++ol) bias_acc += g.at(oc, ol);
+    bg[static_cast<std::size_t>(oc)] += bias_acc;
+    for (int ic = 0; ic < in_ch; ++ic) {
+      const std::size_t row = (static_cast<std::size_t>(oc) * in_ch + ic) * kernel;
+      for (int ol = 0; ol < out_len; ++ol) {
+        const float go = g.at(oc, ol);
+        if (go == 0.0f) continue;
+        const int start = ol * stride - padding;
+        const int k_lo = start < 0 ? -start : 0;
+        const int k_hi = std::min(kernel, len - start);
+        for (int k = k_lo; k < k_hi; ++k) {
+          wg[row + k] += go * x.at(ic, start + k);
+          gi.at(ic, start + k) += go * w[row + k];
+        }
+      }
+    }
+  }
+  return gi;
+}
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+TEST(Conv1d, BackwardBitwiseMatchesNaivePerElementLoop) {
+  // {in, out, kernel, stride, padding, len}: CONV-E1/E2/E3 and CONV-F at the
+  // model's shapes with 3 tags, then stride > kernel, stride 1, padding >=
+  // kernel - 1 (outputs with no valid tap), output length 1, one channel.
+  const int shapes[][6] = {{3, 8, 7, 2, 3, 180}, {8, 12, 5, 3, 1, 90}, {12, 16, 5, 5, 0, 30},
+                           {3, 8, 2, 1, 0, 4},   {3, 5, 2, 4, 1, 17},  {2, 3, 3, 1, 2, 9},
+                           {2, 3, 3, 1, 4, 5},   {3, 2, 5, 1, 0, 5},   {2, 6, 4, 3, 1, 3},
+                           {1, 4, 3, 2, 1, 11},  {1, 1, 1, 1, 0, 1}};
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
+  util::Rng rng(23);
+  for (const auto& s : shapes) {
+    const int kernel = s[2], stride = s[3], padding = s[4], len = s[5];
+    Conv1d conv(s[0], s[1], kernel, stride, padding, rng);
+    Tensor& w = conv.params()[0]->value;
+    Tensor& wg = conv.params()[0]->grad;
+    Tensor& bg = conv.params()[1]->grad;
+    // Accumulate on top of non-zero gradients. The first and last taps'
+    // weight gradients start at -0: a padded edge tap would add go * 0 = +0
+    // for a positive go and flip them to +0.
+    wg.randomize_normal(rng, 1.0f);
+    bg.randomize_normal(rng, 1.0f);
+    for (std::size_t i = 0; i < wg.size(); i += static_cast<std::size_t>(kernel)) {
+      wg[i] = -0.0f;
+      wg[i + static_cast<std::size_t>(kernel) - 1] = -0.0f;
+    }
+    // An infinite tap-0 weight: a padded or unskipped term would add
+    // inf * 0 = NaN to the input gradient.
+    w[0] = kInf;
+    Tensor want_wg = wg, want_bg = bg;
+    const int calls = 4;
+    std::vector<Tensor> xs, gs;
+    for (int c = 0; c < calls; ++c) {
+      Tensor x = random_tensor({s[0], len}, rng);
+      for (std::size_t i = 0; i < x.size(); i += 5) x[i] = (i % 2 == 0) ? 0.0f : -0.0f;
+      Tensor g = random_tensor({s[1], conv.output_length(len)}, rng);
+      for (std::size_t i = 0; i < g.size(); i += 3) g[i] = (i % 2 == 0) ? 0.0f : -0.0f;
+      // Zero every gradient whose taps read input column p, then make that
+      // column infinite: a term added for a zero gradient would put
+      // inf * 0 = NaN into the weight gradient. A trailing column no tap
+      // reads (stride > kernel) is NaN.
+      const int p = len / 2;
+      for (int oc = 0; oc < g.dim(0); ++oc) {
+        for (int ol = 0; ol < g.dim(1); ++ol) {
+          const int start = ol * stride - padding;
+          if (p >= start && p < start + kernel) g.at(oc, ol) = (oc + ol) % 2 ? -0.0f : 0.0f;
+        }
+      }
+      x.at(0, p) = kInf;
+      const int last_read = (g.dim(1) - 1) * stride - padding + kernel - 1;
+      if (last_read < len - 1) x.at(s[0] - 1, len - 1) = kNan;
+      conv.forward(x, /*train=*/true);
+      xs.push_back(std::move(x));
+      gs.push_back(std::move(g));
+    }
+    // LIFO, as Sequential replays a sequence's frames.
+    for (int c = calls - 1; c >= 0; --c) {
+      const Tensor want_gi =
+          naive_conv1d_backward(w, xs[c], gs[c], kernel, stride, padding, want_wg, want_bg);
+      const Tensor got_gi = conv.backward(gs[c]);
+      const std::string where = "shape {" + std::to_string(s[0]) + "," + std::to_string(s[1]) +
+                                "," + std::to_string(kernel) + "," + std::to_string(stride) +
+                                "," + std::to_string(padding) + "," + std::to_string(len) +
+                                "} call " + std::to_string(c);
+      EXPECT_TRUE(same_bits(got_gi, want_gi)) << where << " input gradient";
+      EXPECT_TRUE(same_bits(wg, want_wg)) << where << " weight gradient";
+      EXPECT_TRUE(same_bits(bg, want_bg)) << where << " bias gradient";
+    }
+  }
 }
 
 TEST(ReLU, ForwardClampsNegatives) {

@@ -301,5 +301,29 @@ TEST(TrainerParallel, ReplicaBusySecondsRecorded) {
   obs::set_enabled(was_enabled);
 }
 
+// Pins the trained weights of a tiny fit across commits, once under Adam and
+// once under SGD: the backward passes, gradient clipping and the optimizer
+// steps must keep every element's sum order, and any reorder changes the
+// hash. Unlike test_model's forward hash this one depends on the host libm
+// (expf/tanhf in the LSTM, log/pow in softmax and Adam, log/cos in the
+// weight init); it was taken with glibc 2.36 on x86-64.
+TEST(TrainerGolden, TinyFitWeightsMatchPinnedHash) {
+  ScopedThreads t(2);
+  std::uint64_t h = 1469598103934665603ull;  // FNV-1a 64 over the float bits
+  for (const bool adam : {true, false}) {
+    ModelConfig model = small_model();
+    model.dropout = 0.25;
+    M2AINetwork net(model, FeatureMode::kM2AI, kTags, kAntennas, kClasses);
+    TrainConfig config = plain_train(/*batch_size=*/4, /*epochs=*/2);
+    config.crop_frames = 6;
+    config.lr_schedule = true;
+    config.use_adam = adam;
+    Trainer trainer(net, config);
+    trainer.fit(mixed_training_set());
+    for (const unsigned char b : param_bytes(net)) h = (h ^ b) * 1099511628211ull;
+  }
+  EXPECT_EQ(h, 0x691e663023f01e6eull) << std::hex << h;
+}
+
 }  // namespace
 }  // namespace m2ai::core
