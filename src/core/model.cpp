@@ -1,5 +1,6 @@
 #include "core/model.hpp"
 
+#include <algorithm>
 #include <map>
 #include <stdexcept>
 
@@ -37,7 +38,9 @@ M2AINetwork::M2AINetwork(const ModelConfig& model, FeatureMode mode, int num_tag
     if (use_pseudo_) {
       // CONV-E1/E2/E3 (Fig. 6): reduce the 180-bin angle axis ~180->30->6.
       pseudo_branch_ = std::make_unique<nn::Sequential>();
-      pseudo_branch_->emplace<nn::Conv1d>(num_tags_, 8, 7, 2, 3, rng);
+      // No layer reads a branch's input gradient, so its first conv skips it.
+      pseudo_branch_->emplace<nn::Conv1d>(num_tags_, 8, 7, 2, 3, rng,
+                                          nn::Conv1d::InputGrad::kSkip);
       pseudo_branch_->emplace<nn::ReLU>();
       pseudo_branch_->emplace<nn::Conv1d>(8, 12, 5, 3, 1, rng);
       pseudo_branch_->emplace<nn::ReLU>();
@@ -51,7 +54,8 @@ M2AINetwork::M2AINetwork(const ModelConfig& model, FeatureMode mode, int num_tag
       // CONV-F (Fig. 6) over the short antenna axis.
       aux_branch_ = std::make_unique<nn::Sequential>();
       const int kernel = std::min(2, num_antennas_);
-      aux_branch_->emplace<nn::Conv1d>(num_tags_, 8, kernel, 1, 0, rng);
+      aux_branch_->emplace<nn::Conv1d>(num_tags_, 8, kernel, 1, 0, rng,
+                                       nn::Conv1d::InputGrad::kSkip);
       aux_branch_->emplace<nn::ReLU>();
       aux_flat_ = probe_output_size(*aux_branch_, {num_tags_, num_antennas_},
                                     &aux_out_shape_);
@@ -102,57 +106,76 @@ nn::Tensor M2AINetwork::raw_features(const SpectrumFrame& frame) const {
   return out;
 }
 
-nn::Tensor M2AINetwork::cnn_features(const SpectrumFrame& frame, bool train) {
-  nn::Tensor joined;
-  bool first = true;
-  if (use_pseudo_) {
-    joined = pseudo_branch_->forward(frame.pseudo, train).flattened();
-    first = false;
-  }
-  if (use_aux_) {
-    const nn::Tensor b = aux_branch_->forward(frame.aux, train).flattened();
-    joined = first ? b : nn::concat(joined, b);
-  }
+nn::Tensor M2AINetwork::cnn_features(const SpectrumFrame* frames, std::size_t n,
+                                      bool train) {
+  // One frame runs as itself; n frames run as one frame-minor batch.
+  const auto run_branch = [&](nn::Sequential& branch, nn::Tensor SpectrumFrame::*field) {
+    if (n == 1) return branch.forward(frames[0].*field, train);
+    std::vector<const nn::Tensor*> parts(n);
+    for (std::size_t t = 0; t < n; ++t) parts[t] = &(frames[t].*field);
+    return branch.forward(nn::stack_frames(parts), train);
+  };
+  nn::Tensor pseudo, aux;
+  if (use_pseudo_) pseudo = run_branch(*pseudo_branch_, &SpectrumFrame::pseudo);
+  if (use_aux_) aux = run_branch(*aux_branch_, &SpectrumFrame::aux);
+  // Flattening each branch output and concatenating them is row stacking:
+  // [C, L, n] is [C*L, n] in memory, so the merge input is the pseudo rows
+  // followed by the aux rows.
+  const int flat = pseudo_flat_ + aux_flat_;
+  nn::Tensor joined(n == 1 ? std::vector<int>{flat}
+                           : std::vector<int>{flat, static_cast<int>(n)});
+  std::copy(pseudo.data(), pseudo.data() + pseudo.size(), joined.data());
+  std::copy(aux.data(), aux.data() + aux.size(), joined.data() + pseudo.size());
   return merge_->forward(joined, train);
 }
 
-nn::Tensor M2AINetwork::frame_input(const SpectrumFrame& frame, bool train) {
-  return model_.arch == NetworkArch::kLstmOnly ? raw_features(frame)
-                                               : cnn_features(frame, train);
+void M2AINetwork::cnn_backward(const nn::Tensor& grad_features, std::size_t n) {
+  const nn::Tensor grad_joined = merge_->backward(grad_features);
+  // Split the stacked rows back into the branch outputs; the first conv of
+  // each branch computes no input gradient.
+  const auto branch_grad = [&](const std::vector<int>& frame_shape, std::size_t offset) {
+    std::vector<int> shape = frame_shape;
+    if (n > 1) shape.push_back(static_cast<int>(n));
+    nn::Tensor g(std::move(shape));
+    std::copy(grad_joined.data() + offset, grad_joined.data() + offset + g.size(), g.data());
+    return g;
+  };
+  if (use_aux_) {
+    aux_branch_->backward(branch_grad(aux_out_shape_, static_cast<std::size_t>(pseudo_flat_) * n));
+  }
+  if (use_pseudo_) pseudo_branch_->backward(branch_grad(pseudo_out_shape_, 0));
+}
+
+std::vector<nn::Tensor> M2AINetwork::sequence_features(const FrameSequence& frames,
+                                                       bool train) {
+  std::vector<nn::Tensor> feats;
+  if (frames.empty()) return feats;
+  if (model_.arch == NetworkArch::kLstmOnly) {
+    feats.reserve(frames.size());
+    for (const SpectrumFrame& frame : frames) feats.push_back(raw_features(frame));
+    return feats;
+  }
+  return unstack_steps(cnn_features(frames.data(), frames.size(), train), frames.size());
 }
 
 nn::Tensor M2AINetwork::frame_features(const SpectrumFrame& frame) {
-  return frame_input(frame, /*train=*/false);
+  return model_.arch == NetworkArch::kLstmOnly ? raw_features(frame)
+                                               : cnn_features(&frame, 1, /*train=*/false);
 }
 
-void M2AINetwork::frame_backward(const nn::Tensor& grad_features) {
-  const nn::Tensor grad_joined = merge_->backward(grad_features);
-  // Split the concatenated gradient back into branch outputs.
-  if (use_pseudo_ && use_aux_) {
-    nn::Tensor gp(pseudo_out_shape_);
-    nn::Tensor ga(aux_out_shape_);
-    for (std::size_t i = 0; i < gp.size(); ++i) gp[i] = grad_joined[i];
-    for (std::size_t i = 0; i < ga.size(); ++i) ga[i] = grad_joined[gp.size() + i];
-    // Pop caches in reverse push order: aux was pushed last.
-    aux_branch_->backward(ga);
-    pseudo_branch_->backward(gp);
-  } else if (use_pseudo_) {
-    pseudo_branch_->backward(grad_joined.reshaped(pseudo_out_shape_));
-  } else {
-    aux_branch_->backward(grad_joined.reshaped(aux_out_shape_));
-  }
+nn::Tensor M2AINetwork::stack_steps(const std::vector<nn::Tensor>& steps) {
+  if (steps.size() == 1) return steps[0];
+  std::vector<const nn::Tensor*> parts(steps.size());
+  for (std::size_t t = 0; t < steps.size(); ++t) parts[t] = &steps[t];
+  return nn::stack_frames(parts);
 }
 
-std::vector<nn::Tensor> M2AINetwork::forward_sequence(const FrameSequence& frames) {
-  M2AI_OBS_SPAN("nn_forward");
-  std::vector<nn::Tensor> feats;
-  feats.reserve(frames.size());
-  for (const SpectrumFrame& frame : frames) {
-    feats.push_back(frame_input(frame, /*train=*/true));
-  }
-  if (model_.arch == NetworkArch::kCnnOnly) return feats;
-  const std::vector<nn::Tensor> h1 = lstm1_->forward(feats, /*train=*/true);
-  return lstm2_->forward(h1, /*train=*/true);
+std::vector<nn::Tensor> M2AINetwork::unstack_steps(const nn::Tensor& batch, std::size_t n) {
+  if (n == 1) return {batch};
+  std::vector<nn::Tensor> steps;
+  steps.reserve(n);
+  for (std::size_t t = 0; t < n; ++t) steps.push_back(nn::frame_of(batch, static_cast<int>(t)));
+  return steps;
 }
 
 M2AINetwork::StepResult M2AINetwork::train_step(const Sample& sample) {
@@ -160,50 +183,42 @@ M2AINetwork::StepResult M2AINetwork::train_step(const Sample& sample) {
   if (t_len == 0) throw std::invalid_argument("M2AINetwork: empty sample");
   clear_caches();
 
-  const std::vector<nn::Tensor> states = forward_sequence(sample.frames);
+  std::vector<nn::Tensor> states;
+  {
+    M2AI_OBS_SPAN("nn_forward");
+    states = sequence_features(sample.frames, /*train=*/true);
+    if (model_.arch != NetworkArch::kCnnOnly) {
+      states = lstm2_->forward(lstm1_->forward(states, /*train=*/true), /*train=*/true);
+    }
+  }
 
-  // Per-frame softmax head; loss averaged over frames.
+  // Softmax head over every step at once ([H, T] -> [C, T]); the loss is
+  // averaged over steps, and the softmax and loss still run per step.
+  const std::vector<nn::Tensor> logits =
+      unstack_steps(head_->forward(stack_steps(states), /*train=*/true), t_len);
   StepResult result;
-  std::vector<nn::Tensor> grad_states(t_len);
   std::vector<double> prob_sum(static_cast<std::size_t>(num_classes_), 0.0);
   const float inv_t = 1.0f / static_cast<float>(t_len);
   std::vector<nn::Tensor> grad_logits(t_len);
   for (std::size_t t = 0; t < t_len; ++t) {
-    const nn::Tensor logits = head_->forward(states[t], /*train=*/true);
-    auto lag = nn::softmax_cross_entropy(logits, sample.label);
+    auto lag = nn::softmax_cross_entropy(logits[t], sample.label);
     result.loss += lag.loss / static_cast<double>(t_len);
-    const nn::Tensor probs = nn::softmax(logits);
+    const nn::Tensor probs = nn::softmax(logits[t]);
     for (int c = 0; c < num_classes_; ++c) {
       prob_sum[static_cast<std::size_t>(c)] += probs[static_cast<std::size_t>(c)];
     }
     lag.grad_logits.scale(inv_t);
     grad_logits[t] = std::move(lag.grad_logits);
   }
-  result.predicted = 0;
-  for (int c = 1; c < num_classes_; ++c) {
-    if (prob_sum[static_cast<std::size_t>(c)] >
-        prob_sum[static_cast<std::size_t>(result.predicted)]) {
-      result.predicted = c;
-    }
-  }
+  result.predicted = argmax_class(prob_sum);
 
-  // Backward: head caches are LIFO, so walk t in reverse.
   M2AI_OBS_SPAN("nn_backward");
-  for (std::size_t t = t_len; t-- > 0;) {
-    grad_states[t] = head_->backward(grad_logits[t]);
+  std::vector<nn::Tensor> grad_feats =
+      unstack_steps(head_->backward(stack_steps(grad_logits)), t_len);
+  if (model_.arch != NetworkArch::kCnnOnly) {
+    grad_feats = lstm1_->backward(lstm2_->backward(grad_feats));
   }
-
-  std::vector<nn::Tensor> grad_feats;
-  if (model_.arch == NetworkArch::kCnnOnly) {
-    grad_feats = std::move(grad_states);
-  } else {
-    const std::vector<nn::Tensor> grad_h1 = lstm2_->backward(grad_states);
-    grad_feats = lstm1_->backward(grad_h1);
-  }
-
-  if (model_.arch != NetworkArch::kLstmOnly) {
-    for (std::size_t t = t_len; t-- > 0;) frame_backward(grad_feats[t]);
-  }
+  if (model_.arch != NetworkArch::kLstmOnly) cnn_backward(stack_steps(grad_feats), t_len);
   return result;
 }
 
@@ -239,10 +254,7 @@ std::vector<std::vector<double>> M2AINetwork::predict_proba_batch(
     if (batch[i] == nullptr) {
       throw std::invalid_argument("M2AINetwork::predict_batch: null sequence");
     }
-    features[i].reserve(batch[i]->size());
-    for (const SpectrumFrame& frame : *batch[i]) {
-      features[i].push_back(frame_features(frame));
-    }
+    features[i] = sequence_features(*batch[i], /*train=*/false);
     ptrs[i] = &features[i];
   }
   return predict_proba_from_features(ptrs);
@@ -288,10 +300,17 @@ std::vector<std::vector<double>> M2AINetwork::predict_proba_from_features(
   std::vector<std::vector<double>> out(n);
   for (std::size_t i = 0; i < n; ++i) {
     std::vector<double> prob_sum(static_cast<std::size_t>(num_classes_), 0.0);
-    for (const nn::Tensor& s : *states[i]) {
-      const nn::Tensor probs = nn::softmax(head_->forward(s, /*train=*/false));
-      for (int c = 0; c < num_classes_; ++c) {
-        prob_sum[static_cast<std::size_t>(c)] += probs[static_cast<std::size_t>(c)];
+    const std::size_t t_len = states[i]->size();
+    if (t_len > 0) {
+      // The head runs once over the sequence ([H, T] -> [C, T]); softmax per
+      // step, summed t ascending.
+      const std::vector<nn::Tensor> logits =
+          unstack_steps(head_->forward(stack_steps(*states[i]), /*train=*/false), t_len);
+      for (const nn::Tensor& step_logits : logits) {
+        const nn::Tensor probs = nn::softmax(step_logits);
+        for (int c = 0; c < num_classes_; ++c) {
+          prob_sum[static_cast<std::size_t>(c)] += probs[static_cast<std::size_t>(c)];
+        }
       }
     }
     double total = 0.0;

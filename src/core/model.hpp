@@ -2,6 +2,12 @@
 // over the pseudospectrum and periodogram branches, a fully-connected merge,
 // two stacked LSTM layers (32 cells each), and a per-frame softmax head.
 // The Fig. 17 ablations (CNN-only / LSTM-only) reuse the same parts.
+//
+// The CNN and the head are per-frame maps, so a sequence's T frames run
+// through them as one frame-minor batch ([C, L, T], frame index innermost;
+// DESIGN §6) instead of T calls, forward and backward. Every layer gives
+// each frame the bits of a one-frame call, and the gradients the per-frame
+// LIFO loop gave, so results do not depend on how frames are batched.
 #pragma once
 
 #include <memory>
@@ -51,8 +57,10 @@ class M2AINetwork {
   // the raw flattened frame for LSTM-only. The paper's CNN runs per time
   // step, so the result depends on that frame alone and a stream can
   // featurize each frame once for every sliding window that holds it
-  // (serve::Service does, on its DSP workers). Eval-mode layers still write
-  // per-layer scratch, so concurrent callers need one clone each.
+  // (serve::Service does, on its DSP workers). It is the one-frame case of
+  // the batched CNN that predict_proba_batch and train_step run once per
+  // sequence, bitwise equal to that sequence's column. Eval-mode layers
+  // still write per-layer scratch, so concurrent callers need one clone each.
   nn::Tensor frame_features(const SpectrumFrame& frame);
   // The rest of the network over per-frame feature sequences. Sequences are
   // grouped by length and each group's LSTM stack runs batched
@@ -87,21 +95,24 @@ class M2AINetwork {
   const ModelConfig& model_config() const { return model_; }
 
  private:
-  // CNN branches + merge for one frame. Returns the per-frame feature
-  // vector; with train=true, caches are pushed for the matching backward.
-  nn::Tensor cnn_features(const SpectrumFrame& frame, bool train);
+  // CNN branches + merge over n frames in one pass: [F] for one frame, the
+  // frame-minor batch [F, n] otherwise (DESIGN §6). With train=true each
+  // layer pushes one cache entry for the matching cnn_backward.
+  nn::Tensor cnn_features(const SpectrumFrame* frames, std::size_t n, bool train);
   // Backward through merge + branches for the most recent un-popped
-  // cnn_features(train=true) call.
-  void frame_backward(const nn::Tensor& grad_features);
+  // cnn_features(train=true) call over n frames.
+  void cnn_backward(const nn::Tensor& grad_features, std::size_t n);
 
   // Raw flattened frame (LSTM-only ablation input).
   nn::Tensor raw_features(const SpectrumFrame& frame) const;
-  // The LSTM input (or, for CNN-only, the head input) of one frame:
-  // raw_features for the LSTM-only ablation, cnn_features otherwise.
-  nn::Tensor frame_input(const SpectrumFrame& frame, bool train);
+  // The per-step LSTM inputs (or, for CNN-only, head inputs) of a sequence:
+  // raw_features per frame for the LSTM-only ablation, one cnn_features
+  // call otherwise.
+  std::vector<nn::Tensor> sequence_features(const FrameSequence& frames, bool train);
 
-  // Training forward of one sequence (caches kept for train_step's backward).
-  std::vector<nn::Tensor> forward_sequence(const FrameSequence& frames);
+  // Per-step vectors <-> one frame-minor batch; one step is its own batch.
+  static nn::Tensor stack_steps(const std::vector<nn::Tensor>& steps);
+  static std::vector<nn::Tensor> unstack_steps(const nn::Tensor& batch, std::size_t n);
 
   ModelConfig model_;
   FeatureMode mode_;

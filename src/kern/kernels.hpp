@@ -33,6 +33,46 @@ inline void gemv(const float* w, const float* x, const float* bias, float* y,
   }
 }
 
+// gemv over a frame-minor batch: y[r*frames + f] = (bias ? bias[r] : 0) +
+// sum_k w[r*cols + k] * x[k*frames + f], k ascending — gemv's per-element
+// order for every frame f. Four rows share each pass over x's row k, and the
+// frame loop is innermost, so it vectorizes across frames. With one frame
+// the frame loop is a scalar step: call gemv then. y must not alias w, x or
+// bias (restrict spares the frame loop a runtime overlap test per pass).
+inline void gemv_frames(const float* __restrict w, const float* __restrict x,
+                        const float* __restrict bias, float* __restrict y, int rows,
+                        int cols, int frames) {
+  const std::size_t nf = static_cast<std::size_t>(frames);
+  for (int r0 = 0; r0 < rows; r0 += 4) {
+    const int nr = rows - r0 < 4 ? rows - r0 : 4;
+    float* y0 = y + static_cast<std::size_t>(r0) * nf;
+    for (int j = 0; j < nr; ++j) {
+      const float b = bias != nullptr ? bias[r0 + j] : 0.0f;
+      for (std::size_t f = 0; f < nf; ++f) y0[j * nf + f] = b;
+    }
+    const float* w0 = w + static_cast<std::size_t>(r0) * cols;
+    for (int k = 0; k < cols; ++k) {
+      const float* xk = x + static_cast<std::size_t>(k) * nf;
+      if (nr == 4) {
+        const float a0 = w0[k], a1 = w0[cols + k], a2 = w0[2 * cols + k],
+                    a3 = w0[3 * static_cast<std::size_t>(cols) + k];
+        for (std::size_t f = 0; f < nf; ++f) {
+          const float xv = xk[f];
+          y0[f] += a0 * xv;
+          y0[nf + f] += a1 * xv;
+          y0[2 * nf + f] += a2 * xv;
+          y0[3 * nf + f] += a3 * xv;
+        }
+      } else {
+        for (int j = 0; j < nr; ++j) {
+          const float a = w0[static_cast<std::size_t>(j) * cols + k];
+          for (std::size_t f = 0; f < nf; ++f) y0[j * nf + f] += a * xk[f];
+        }
+      }
+    }
+  }
+}
+
 // at[k*rows + r] = a[r*cols + k]: the [cols, rows] operand gemm_bias needs
 // to compute y = a x + b with gemv's per-element order.
 inline void transpose(const float* a, int rows, int cols, float* at) {

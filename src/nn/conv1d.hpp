@@ -1,6 +1,12 @@
 // 1-D convolution over the angle/antenna axis of a spectrum frame.
 // Input [C_in, L], kernels [C_out, C_in, K], stride and symmetric zero
 // padding; output [C_out, L_out] with L_out = (L + 2*pad - K)/stride + 1.
+//
+// A frame-minor batch [C_in, L, B] (nn::stack_frames: the B frames of a
+// sequence, frame index innermost) runs through the same loop nest and gives
+// [C_out, L_out, B], each frame bitwise equal to its own [C_in, L] call; a
+// backward over the batch accumulates the parameter gradients that B
+// single-frame backward calls, LIFO, would (DESIGN §6).
 #pragma once
 
 #include <deque>
@@ -13,8 +19,13 @@ namespace m2ai::nn {
 
 class Conv1d : public Layer {
  public:
+  // kSkip is for a network's first layer, whose input gradient nobody reads:
+  // backward() then computes only the parameter gradients (bitwise the same)
+  // and returns an empty tensor.
+  enum class InputGrad { kCompute, kSkip };
+
   Conv1d(int in_channels, int out_channels, int kernel, int stride, int padding,
-         util::Rng& rng);
+         util::Rng& rng, InputGrad input_grad = InputGrad::kCompute);
 
   Tensor forward(const Tensor& input, bool train) override;
   Tensor backward(const Tensor& grad_output) override;
@@ -31,11 +42,17 @@ class Conv1d : public Layer {
   int kernel_;
   int stride_;
   int padding_;
+  InputGrad input_grad_;
   Param weight_;  // [C_out, C_in, K]
   Param bias_;    // [C_out]
+  struct Tap {
+    int lo, hi;       // outputs whose input lies inside [0, L)
+    std::size_t src;  // offset of output lo's value in its channel's phase rows
+  };
   std::deque<Tensor> cache_;
+  std::vector<Tap> taps_;     // forward: per-call tap table
   kern::Workspace ws_;        // per-call scratch rows of forward and backward
-  std::vector<int> nonzero_;  // backward: outputs of one oc with a non-zero gradient
+  std::vector<int> nonzero_;  // backward: outputs of one (oc, frame) with a non-zero gradient
 };
 
 }  // namespace m2ai::nn

@@ -1,8 +1,15 @@
-// Fully-connected layer: y = W x + b. Accepts any input rank (flattens).
+// Fully-connected layer: y = W x + b.
+//
+// One frame is a rank-1 [in] input (any other shape of `in` elements is
+// flattened) and gives [out]. A frame-minor batch [in, B] (nn::stack_frames)
+// gives [out, B], each frame bitwise equal to its own call; a backward over
+// the batch accumulates the parameter gradients that B single-frame backward
+// calls, LIFO, would (DESIGN §6).
 #pragma once
 
 #include <deque>
 
+#include "kern/workspace.hpp"
 #include "nn/layer.hpp"
 
 namespace m2ai::nn {
@@ -25,7 +32,8 @@ class Dense : public Layer {
   int out_;
   Param weight_;  // [out, in]
   Param bias_;    // [out]
-  std::deque<Tensor> cache_;  // flattened inputs, LIFO
+  std::deque<Tensor> cache_;  // inputs as [in] or [in, B], LIFO
+  kern::Workspace ws_;        // backward's frame-major scratch
 };
 
 }  // namespace m2ai::nn

@@ -1,4 +1,9 @@
 // Inverted dropout: active only when train=true; inference is a no-op.
+//
+// A rank-2 [N, B] input is a frame-minor batch (a Dense layer's batch
+// output): the masks are drawn frame by frame, frame 0's N elements first,
+// so the batch draws exactly what B single-frame calls would. Any other
+// shape is one frame, drawn in element order.
 #pragma once
 
 #include <deque>

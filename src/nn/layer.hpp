@@ -1,11 +1,16 @@
 // Layer interface of the learning engine.
 //
 // Weight sharing over time (the same CNN applied to every spectrum frame of
-// a sequence) is supported through a LIFO cache discipline: each forward()
-// pushes its activation cache, each backward() pops the most recent one.
-// The training loop therefore runs forward over t = 0..T-1 and backward over
-// t = T-1..0, and parameter gradients ACCUMULATE across those calls until
-// the optimizer consumes and clears them.
+// a sequence) is supported in two equivalent ways. The per-frame layers
+// (Conv1d, Dense, Dropout and the element-wise activations) accept a
+// frame-minor batch — the frames stacked on a trailing axis with
+// nn::stack_frames — and give every frame the bits of a one-frame call, so
+// core::M2AINetwork runs a sequence's T frames as one call. Calls also
+// follow a LIFO cache discipline: each forward() pushes its activation
+// cache, each backward() pops the most recent one, and parameter gradients
+// ACCUMULATE across calls until the optimizer consumes and clears them. A
+// batch's backward adds the terms of its frames' one-frame backward calls
+// popped LIFO (frame B-1 first).
 #pragma once
 
 #include <memory>

@@ -12,8 +12,9 @@ Sequential& Sequential::set_trace_label(std::string label) {
 
 Tensor Sequential::forward(const Tensor& input, bool train) {
   obs::ScopedSpan span(trace_label_.empty() ? nullptr : trace_label_.c_str());
-  Tensor x = input;
-  for (auto& layer : layers_) x = layer->forward(x, train);
+  if (layers_.empty()) return input;
+  Tensor x = layers_.front()->forward(input, train);
+  for (std::size_t i = 1; i < layers_.size(); ++i) x = layers_[i]->forward(x, train);
   return x;
 }
 

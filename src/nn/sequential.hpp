@@ -1,5 +1,6 @@
 // A simple layer stack with the same LIFO cache discipline as Layer, so a
-// Sequential can itself be applied once per time step with shared weights.
+// Sequential can itself be applied once per time step with shared weights,
+// or once to a frame-minor batch of time steps.
 #pragma once
 
 #include <memory>

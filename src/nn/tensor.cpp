@@ -117,4 +117,42 @@ Tensor concat(const Tensor& a, const Tensor& b) {
   return out;
 }
 
+Tensor stack_frames(const std::vector<const Tensor*>& frames) {
+  if (frames.empty()) throw std::invalid_argument("stack_frames: no frames");
+  std::vector<int> shape = frames[0]->shape();
+  shape.push_back(static_cast<int>(frames.size()));
+  Tensor out(std::move(shape));
+  const std::size_t n = frames.size();
+  std::vector<const float*> src(n);
+  for (std::size_t f = 0; f < n; ++f) {
+    if (!frames[f]->same_shape(*frames[0])) {
+      throw std::invalid_argument("stack_frames: frame " + std::to_string(f) + " is " +
+                                  frames[f]->shape_string() + ", frame 0 " +
+                                  frames[0]->shape_string());
+    }
+    src[f] = frames[f]->data();
+  }
+  // Written in order, read as n sequential streams.
+  float* dst = out.data();
+  for (std::size_t i = 0; i < frames[0]->size(); ++i) {
+    for (std::size_t f = 0; f < n; ++f) *dst++ = src[f][i];
+  }
+  return out;
+}
+
+Tensor frame_of(const Tensor& batch, int f) {
+  const int n = batch.rank() > 0 ? batch.dim(batch.rank() - 1) : 0;
+  if (f < 0 || f >= n) {
+    throw std::out_of_range("frame_of: frame " + std::to_string(f) + " of " +
+                            batch.shape_string());
+  }
+  std::vector<int> shape(batch.shape().begin(), batch.shape().end() - 1);
+  if (shape.empty()) shape.push_back(1);
+  Tensor out(std::move(shape));
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i] = batch[i * static_cast<std::size_t>(n) + static_cast<std::size_t>(f)];
+  }
+  return out;
+}
+
 }  // namespace m2ai::nn

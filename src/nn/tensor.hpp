@@ -74,4 +74,11 @@ class Tensor {
 // Concatenate rank-1 tensors.
 Tensor concat(const Tensor& a, const Tensor& b);
 
+// Frame-minor batches (DESIGN §6): a batch of n same-shape frames has the
+// frame's shape plus a trailing axis of n, so element i of frame f sits at
+// [i * n + f] and every row of the frame becomes n times longer.
+// stack_frames builds one from its frames; frame_of copies frame f back out.
+Tensor stack_frames(const std::vector<const Tensor*>& frames);
+Tensor frame_of(const Tensor& batch, int f);
+
 }  // namespace m2ai::nn

@@ -9,8 +9,10 @@
 // Each DSP worker owns a disjoint set of streams and its own clone of the
 // network: it drains their ingest rings, feeds the per-stream
 // StreamAssembler (incremental covariance + frame assembly), runs the
-// per-frame CNN (M2AINetwork::frame_features) once on every closed frame,
-// keeps the features of the last T frames, and — every time a window closes
+// per-frame CNN (M2AINetwork::frame_features: the one-frame case of the
+// frame-minor batch that offline predict runs per sequence, bitwise equal
+// to that sequence's column) once on every closed frame, keeps the
+// features of the last T frames, and — every time a window closes
 // with a full sequence available — enqueues an inference request carrying
 // those T feature vectors (T x 48 floats) on its private ring to the NN
 // thread. The NN thread drains the worker rings in micro-batches (up to

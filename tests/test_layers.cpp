@@ -5,6 +5,7 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "kern/backend.hpp"
@@ -347,6 +348,218 @@ TEST(Conv1d, BackwardBitwiseMatchesNaivePerElementLoop) {
   }
 }
 
+// Frame-minor batches ([C, L, B], frame index innermost) run every frame
+// through the per-element order of a single-frame call. Shapes are the model
+// layers' (CONV-E1/E2/E3 and CONV-F with 6 tags) and the edge geometries of
+// the single-frame tests: stride > kernel, stride 1, padding >= kernel - 1
+// (outputs with no valid tap), output length 1.
+constexpr int kBatchShapes[][6] = {{6, 8, 7, 2, 3, 180}, {8, 12, 5, 3, 1, 90},
+                                   {12, 16, 5, 5, 0, 30}, {6, 8, 2, 1, 0, 4},
+                                   {3, 5, 2, 4, 1, 17},   {2, 3, 3, 1, 2, 9},
+                                   {2, 3, 3, 1, 4, 5},    {3, 2, 5, 1, 0, 5},
+                                   {2, 6, 4, 3, 1, 3},    {1, 1, 1, 1, 0, 1}};
+constexpr int kBatchSizes[] = {1, 2, 16, 20};
+
+Tensor stack(const std::vector<Tensor>& frames) {
+  std::vector<const Tensor*> ptrs;
+  for (const Tensor& f : frames) ptrs.push_back(&f);
+  return stack_frames(ptrs);
+}
+
+std::string shape_name(const int s[6], int batch) {
+  std::string out = "shape {";
+  for (int i = 0; i < 6; ++i) out += std::to_string(s[i]) + (i < 5 ? "," : "}");
+  return out + " B=" + std::to_string(batch);
+}
+
+TEST(Conv1d, BatchForwardEqualsPerFrameLoopBitwise) {
+  util::Rng rng(31);
+  for (const auto& s : kBatchShapes) {
+    Conv1d conv(s[0], s[1], s[2], s[3], s[4], rng);
+    conv.params()[1]->value.randomize_normal(rng, 1.0f);
+    conv.params()[0]->value[0] = std::numeric_limits<float>::infinity();
+    for (const int batch : kBatchSizes) {
+      std::vector<Tensor> xs;
+      for (int f = 0; f < batch; ++f) {
+        Tensor x = random_tensor({s[0], s[5]}, rng);
+        for (std::size_t i = static_cast<std::size_t>(f) % 3; i < x.size(); i += 3) {
+          x[i] = (i % 2 == 0) ? 0.0f : -0.0f;
+        }
+        xs.push_back(std::move(x));
+      }
+      for (const bool train : {false, true}) {
+        const Tensor got = conv.forward(stack(xs), train);
+        conv.clear_cache();
+        ASSERT_EQ(got.shape(), (std::vector<int>{s[1], conv.output_length(s[5]), batch}));
+        for (int f = 0; f < batch; ++f) {
+          EXPECT_TRUE(same_bits(frame_of(got, f), naive_conv1d(conv, xs[f], s[2], s[3], s[4])))
+              << shape_name(s, batch) << " frame " << f << " train " << train;
+        }
+      }
+    }
+  }
+}
+
+// One backward over a batch leaves the parameter gradients of B per-frame
+// backward calls popped LIFO (frame B-1 first), and each frame's input
+// gradient; a first layer (InputGrad::kSkip) leaves the same parameter
+// gradients and returns no input gradient.
+TEST(Conv1d, BatchBackwardEqualsLifoPerFrameLoopBitwise) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
+  util::Rng rng(37);
+  for (const auto& s : kBatchShapes) {
+    const int kernel = s[2], stride = s[3], padding = s[4], len = s[5];
+    for (const Conv1d::InputGrad mode : {Conv1d::InputGrad::kCompute, Conv1d::InputGrad::kSkip}) {
+      for (const int batch : kBatchSizes) {
+        Conv1d conv(s[0], s[1], kernel, stride, padding, rng, mode);
+        Tensor& w = conv.params()[0]->value;
+        Tensor& wg = conv.params()[0]->grad;
+        Tensor& bg = conv.params()[1]->grad;
+        // As in BackwardBitwiseMatchesNaivePerElementLoop: -0 edge-tap
+        // gradients, an infinite tap-0 weight, ±0 output gradients, and
+        // non-finite inputs that only zero-gradient rows read.
+        wg.randomize_normal(rng, 1.0f);
+        bg.randomize_normal(rng, 1.0f);
+        for (std::size_t i = 0; i < wg.size(); i += static_cast<std::size_t>(kernel)) {
+          wg[i] = -0.0f;
+          wg[i + static_cast<std::size_t>(kernel) - 1] = -0.0f;
+        }
+        w[0] = kInf;
+        const int out_len = conv.output_length(len);
+        std::vector<Tensor> xs, gs;
+        for (int f = 0; f < batch; ++f) {
+          Tensor x = random_tensor({s[0], len}, rng);
+          for (std::size_t i = 0; i < x.size(); i += 5) x[i] = (i % 2 == 0) ? 0.0f : -0.0f;
+          Tensor g = random_tensor({s[1], out_len}, rng);
+          for (std::size_t i = static_cast<std::size_t>(f) % 3; i < g.size(); i += 3) {
+            g[i] = (i % 2 == 0) ? 0.0f : -0.0f;
+          }
+          const int p = (len / 2 + f) % len;
+          for (int oc = 0; oc < s[1]; ++oc) {
+            for (int ol = 0; ol < out_len; ++ol) {
+              const int start = ol * stride - padding;
+              if (p >= start && p < start + kernel) g.at(oc, ol) = (oc + ol) % 2 ? -0.0f : 0.0f;
+            }
+          }
+          x.at(0, p) = kInf;
+          const int last_read = (out_len - 1) * stride - padding + kernel - 1;
+          if (last_read < len - 1) x.at(s[0] - 1, len - 1) = kNan;
+          xs.push_back(std::move(x));
+          gs.push_back(std::move(g));
+        }
+        Tensor want_wg = wg, want_bg = bg;
+        std::vector<Tensor> want_gi(static_cast<std::size_t>(batch));
+        for (int f = batch - 1; f >= 0; --f) {
+          want_gi[static_cast<std::size_t>(f)] =
+              naive_conv1d_backward(w, xs[f], gs[f], kernel, stride, padding, want_wg, want_bg);
+        }
+        conv.forward(stack(xs), /*train=*/true);
+        const Tensor got_gi = conv.backward(stack(gs));
+        const std::string where = shape_name(s, batch) +
+                                  (mode == Conv1d::InputGrad::kSkip ? " skip" : " compute");
+        EXPECT_TRUE(same_bits(wg, want_wg)) << where << " weight gradient";
+        EXPECT_TRUE(same_bits(bg, want_bg)) << where << " bias gradient";
+        if (mode == Conv1d::InputGrad::kSkip) {
+          EXPECT_EQ(got_gi.size(), 0u) << where;
+          continue;
+        }
+        ASSERT_EQ(got_gi.shape(), (std::vector<int>{s[0], len, batch})) << where;
+        for (int f = 0; f < batch; ++f) {
+          EXPECT_TRUE(same_bits(frame_of(got_gi, f), want_gi[static_cast<std::size_t>(f)]))
+              << where << " input gradient, frame " << f;
+        }
+      }
+    }
+  }
+}
+
+// The per-frame Dense loops, restated: gemv's y = b + sum_k w x (k
+// ascending) and gemv_backward_acc's per-row bias, weight and input
+// gradient updates.
+Tensor naive_dense(const Tensor& w, const Tensor& b, const Tensor& x) {
+  const int out = b.dim(0), in = static_cast<int>(x.size());
+  Tensor y({out});
+  for (int o = 0; o < out; ++o) {
+    float acc = b[static_cast<std::size_t>(o)];
+    for (int k = 0; k < in; ++k) acc += w[static_cast<std::size_t>(o) * in + k] * x[k];
+    y[static_cast<std::size_t>(o)] = acc;
+  }
+  return y;
+}
+
+Tensor naive_dense_backward(const Tensor& w, const Tensor& x, const Tensor& g, Tensor& wg,
+                            Tensor& bg) {
+  const int out = static_cast<int>(g.size()), in = static_cast<int>(x.size());
+  Tensor dx({in});
+  for (int o = 0; o < out; ++o) {
+    const float go = g[static_cast<std::size_t>(o)];
+    bg[static_cast<std::size_t>(o)] += go;
+    for (int k = 0; k < in; ++k) {
+      wg[static_cast<std::size_t>(o) * in + k] += go * x[k];
+      dx[k] += go * w[static_cast<std::size_t>(o) * in + k];
+    }
+  }
+  return dx;
+}
+
+TEST(Dense, BatchEqualsPerFrameLoopsBitwise) {
+  const struct BackendGuard {
+    kern::BackendKind saved = kern::active_backend_kind();
+    ~BackendGuard() { kern::set_backend(saved); }
+  } guard;
+  kern::set_backend(kern::BackendKind::kReference);
+  util::Rng rng(43);
+  // {in, out}: the merge FC and the head at the paper's sizes, then row
+  // counts that are not a multiple of the kernel's four-row block.
+  for (const auto& [in, out] : {std::pair{120, 48}, std::pair{32, 12}, std::pair{5, 3},
+                                std::pair{7, 6}, std::pair{1, 1}}) {
+    for (const int batch : kBatchSizes) {
+      Dense layer(in, out, rng);
+      Tensor& w = layer.params()[0]->value;
+      Tensor& b = layer.params()[1]->value;
+      b.randomize_normal(rng, 1.0f);
+      layer.params()[0]->grad.randomize_normal(rng, 1.0f);
+      layer.params()[1]->grad.randomize_normal(rng, 1.0f);
+      std::vector<Tensor> xs, gs;
+      for (int f = 0; f < batch; ++f) {
+        Tensor x = random_tensor({in}, rng);
+        for (std::size_t i = static_cast<std::size_t>(f) % 2; i < x.size(); i += 4) {
+          x[i] = (i % 3 == 0) ? 0.0f : -0.0f;
+        }
+        Tensor g = random_tensor({out}, rng);
+        for (std::size_t i = 0; i < g.size(); i += 3) g[i] = (i % 2 == 0) ? 0.0f : -0.0f;
+        xs.push_back(std::move(x));
+        gs.push_back(std::move(g));
+      }
+      const std::string where =
+          "dense " + std::to_string(in) + "->" + std::to_string(out) + " B=" + std::to_string(batch);
+      for (const bool train : {false, true}) {
+        const Tensor y = layer.forward(stack(xs), train);
+        ASSERT_EQ(y.shape(), (std::vector<int>{out, batch})) << where;
+        for (int f = 0; f < batch; ++f) {
+          EXPECT_TRUE(same_bits(frame_of(y, f), naive_dense(w, b, xs[f])))
+              << where << " frame " << f << " train " << train;
+        }
+      }
+      Tensor want_wg = layer.params()[0]->grad, want_bg = layer.params()[1]->grad;
+      std::vector<Tensor> want_dx(static_cast<std::size_t>(batch));
+      for (int f = batch - 1; f >= 0; --f) {
+        want_dx[static_cast<std::size_t>(f)] =
+            naive_dense_backward(w, xs[f], gs[f], want_wg, want_bg);
+      }
+      const Tensor dx = layer.backward(stack(gs));
+      EXPECT_TRUE(same_bits(layer.params()[0]->grad, want_wg)) << where << " weight gradient";
+      EXPECT_TRUE(same_bits(layer.params()[1]->grad, want_bg)) << where << " bias gradient";
+      ASSERT_EQ(dx.shape(), (std::vector<int>{in, batch})) << where;
+      for (int f = 0; f < batch; ++f) {
+        EXPECT_TRUE(same_bits(frame_of(dx, f), want_dx[static_cast<std::size_t>(f)]))
+            << where << " input gradient, frame " << f;
+      }
+    }
+  }
+}
+
 TEST(ReLU, ForwardClampsNegatives) {
   ReLU relu;
   const Tensor y = relu.forward(Tensor::from({-1.0f, 0.0f, 2.0f}), false);
@@ -437,6 +650,31 @@ TEST(Dropout, BackwardUsesSameMask) {
   const Tensor gin = drop.backward(g);
   for (std::size_t i = 0; i < 100; ++i) {
     EXPECT_FLOAT_EQ(gin[i], y[i]);  // same positions dropped / scaled
+  }
+}
+
+// A batch [N, B] draws frame 0's mask first, element order within a frame:
+// the draws, the masks and the backward of B single-frame calls.
+TEST(Dropout, BatchDrawsPerFrameMasksInFrameOrder) {
+  for (const int batch : kBatchSizes) {
+    Dropout batched(0.3, util::Rng(15));
+    Dropout single(0.3, util::Rng(15));
+    util::Rng rng(16);
+    std::vector<Tensor> xs, gs;
+    for (int f = 0; f < batch; ++f) {
+      xs.push_back(random_tensor({37}, rng));
+      gs.push_back(random_tensor({37}, rng));
+    }
+    const Tensor y = batched.forward(stack(xs), true);
+    std::vector<Tensor> want_y;
+    for (int f = 0; f < batch; ++f) want_y.push_back(single.forward(xs[f], true));
+    const Tensor gin = batched.backward(stack(gs));
+    for (int f = batch - 1; f >= 0; --f) {
+      const Tensor want_gin = single.backward(gs[f]);
+      EXPECT_TRUE(same_bits(frame_of(gin, f), want_gin)) << "B=" << batch << " frame " << f;
+      EXPECT_TRUE(same_bits(frame_of(y, f), want_y[static_cast<std::size_t>(f)]))
+          << "B=" << batch << " frame " << f;
+    }
   }
 }
 

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -11,6 +12,7 @@
 #include "kern/kernels.hpp"
 #include "nn/gradcheck.hpp"
 #include "nn/optimizer.hpp"
+#include "per_frame_network.hpp"
 
 namespace m2ai::core {
 namespace {
@@ -140,6 +142,87 @@ TEST_P(AllArchitectures, FeaturesThenPredictEqualsPredictProbaBatchBitwise) {
     ASSERT_EQ(got[i].size(), want[i].size());
     for (std::size_t c = 0; c < want[i].size(); ++c) {
       EXPECT_EQ(got[i][c], want[i][c]) << "sequence " << i << ", class " << c;
+    }
+  }
+}
+
+// train_step runs each sequence's CNN, merge and head as one frame-minor
+// batch. Its loss, prediction and every parameter gradient must equal the
+// per-frame loop it replaced (tests/per_frame_network.hpp), bit for bit,
+// with dropout on, over two accumulating steps and sequences of one frame
+// (the serving shape) and several, in every feature mode that changes the
+// branches.
+TEST_P(AllArchitectures, TrainStepMatchesPerFrameRestatementBitwise) {
+  for (const FeatureMode mode :
+       {FeatureMode::kM2AI, FeatureMode::kMusicOnly, FeatureMode::kFftOnly}) {
+    for (const int t_len : {1, 7}) {
+      util::Rng rng(static_cast<std::uint64_t>(40 + t_len));
+      ModelConfig m = small_model();
+      m.arch = GetParam();
+      m.dropout = 0.25;
+      M2AINetwork net(m, mode, kTags, kAntennas, kClasses);
+      net.reseed_dropout(util::Rng(77));
+      testing::PerFrameNetwork ref(net, mode, kTags, kAntennas, kClasses, util::Rng(77));
+      const std::string where = std::string(feature_mode_name(mode)) + " T=" +
+                                std::to_string(t_len);
+      for (int step = 0; step < 2; ++step) {
+        const Sample s = random_sample(mode, t_len, step + 1, rng);
+        const M2AINetwork::StepResult got = net.train_step(s);
+        const M2AINetwork::StepResult want = ref.train_step(s);
+        EXPECT_EQ(got.loss, want.loss) << where << " step " << step;
+        EXPECT_EQ(got.predicted, want.predicted) << where << " step " << step;
+      }
+      const std::vector<nn::Param*> got = net.params();
+      const std::vector<nn::Param*> want = ref.params();
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t p = 0; p < got.size(); ++p) {
+        ASSERT_EQ(got[p]->grad.size(), want[p]->grad.size());
+        EXPECT_EQ(0, std::memcmp(got[p]->grad.data(), want[p]->grad.data(),
+                                 got[p]->grad.size() * sizeof(float)))
+            << where << " gradient of param " << p << " (" << got[p]->name << ")";
+      }
+    }
+  }
+}
+
+// Inference runs each sequence's CNN and head once, as a batch:
+// predict_proba_batch equals the per-frame, per-step loop, and equals
+// per-frame frame_features (the serving path's one-frame batch) followed by
+// predict_proba_from_features — the identity behind serving's agreement with
+// offline labels. Paper-sized engine, sequences of 20, 1 and 7 frames.
+TEST_P(AllArchitectures, SequenceBatchEqualsPerFrameInferenceBitwise) {
+  struct BackendGuard {
+    kern::BackendKind saved = kern::active_backend_kind();
+    ~BackendGuard() { kern::set_backend(saved); }
+  } guard;
+  kern::set_backend(kern::BackendKind::kReference);
+  for (const FeatureMode mode :
+       {FeatureMode::kM2AI, FeatureMode::kMusicOnly, FeatureMode::kRssiOnly}) {
+    util::Rng rng(8);
+    ModelConfig m;
+    m.arch = GetParam();
+    M2AINetwork net(m, mode, kTags, kAntennas, kClasses);
+    testing::PerFrameNetwork ref(net, mode, kTags, kAntennas, kClasses, util::Rng(1));
+    const Sample x = random_sample(mode, 20, 0, rng);
+    const Sample y = random_sample(mode, 1, 1, rng);
+    const Sample z = random_sample(mode, 7, 2, rng);
+    const std::vector<const FrameSequence*> frames = {&x.frames, &y.frames, &z.frames};
+    const std::vector<std::vector<double>> batch = net.predict_proba_batch(frames);
+
+    std::vector<FeatureSequence> features(frames.size());
+    std::vector<const FeatureSequence*> ptrs;
+    for (std::size_t i = 0; i < frames.size(); ++i) {
+      for (const SpectrumFrame& f : *frames[i]) features[i].push_back(net.frame_features(f));
+      ptrs.push_back(&features[i]);
+    }
+    const std::vector<std::vector<double>> served = net.predict_proba_from_features(ptrs);
+    for (std::size_t i = 0; i < frames.size(); ++i) {
+      const std::vector<double> want = ref.predict_proba(*frames[i]);
+      ASSERT_EQ(batch[i].size(), want.size());
+      for (std::size_t c = 0; c < want.size(); ++c) {
+        EXPECT_EQ(batch[i][c], want[c]) << feature_mode_name(mode) << " seq " << i << " class " << c;
+        EXPECT_EQ(served[i][c], want[c]) << feature_mode_name(mode) << " seq " << i << " class " << c;
+      }
     }
   }
 }

@@ -92,5 +92,29 @@ TEST(Tensor, Concat) {
   EXPECT_EQ(c.at(4), 5.0f);
 }
 
+TEST(Tensor, StackFramesIsFrameMinorAndFrameOfInvertsIt) {
+  Tensor a({2, 3});
+  Tensor b({2, 3});
+  for (int i = 0; i < 6; ++i) {
+    a[static_cast<std::size_t>(i)] = static_cast<float>(i);
+    b[static_cast<std::size_t>(i)] = static_cast<float>(10 + i);
+  }
+  const Tensor batch = stack_frames({&a, &b});
+  EXPECT_EQ(batch.shape(), (std::vector<int>{2, 3, 2}));
+  EXPECT_EQ(batch.at(1, 2, 0), 5.0f);  // element (1, 2) of frame 0
+  EXPECT_EQ(batch.at(1, 2, 1), 15.0f);
+  EXPECT_EQ(batch[1], 10.0f);  // frames are innermost
+  for (int f = 0; f < 2; ++f) {
+    const Tensor& want = f == 0 ? a : b;
+    const Tensor got = frame_of(batch, f);
+    EXPECT_EQ(got.shape(), want.shape());
+    for (std::size_t i = 0; i < want.size(); ++i) EXPECT_EQ(got[i], want[i]);
+  }
+  const Tensor c({3, 2});
+  EXPECT_THROW(stack_frames({&a, &c}), std::invalid_argument);
+  EXPECT_THROW(stack_frames({}), std::invalid_argument);
+  EXPECT_THROW(frame_of(batch, 2), std::out_of_range);
+}
+
 }  // namespace
 }  // namespace m2ai::nn

@@ -10,9 +10,12 @@
 
 #include <cmath>
 #include <cstring>
+#include <memory>
 
+#include "nn/optimizer.hpp"
 #include "obs/telemetry.hpp"
 #include "par/parallel_for.hpp"
+#include "per_frame_network.hpp"
 #include "util/rng.hpp"
 
 namespace m2ai::core {
@@ -299,6 +302,53 @@ TEST(TrainerParallel, ReplicaBusySecondsRecorded) {
   }
   obs::training().clear();
   obs::set_enabled(was_enabled);
+}
+
+// The trainer's unit of work, train_step + clip + optimizer step, run over a
+// mixed-length set with dropout reseeded per sample: the sequence-batched
+// network and the per-frame loop it replaced (tests/per_frame_network.hpp)
+// must reach the same weights bit for bit, under Adam and under SGD.
+TEST(TrainerGolden, SequenceBatchedStepsMatchPerFrameRestatementBitwise) {
+  for (const bool adam : {true, false}) {
+    ModelConfig model = small_model();
+    model.dropout = 0.25;
+    M2AINetwork net(model, FeatureMode::kM2AI, kTags, kAntennas, kClasses);
+    testing::PerFrameNetwork ref(net, FeatureMode::kM2AI, kTags, kAntennas, kClasses,
+                                 util::Rng(1));
+    std::unique_ptr<nn::Optimizer> opt_net, opt_ref;
+    if (adam) {
+      opt_net = std::make_unique<nn::Adam>(3e-3);
+      opt_ref = std::make_unique<nn::Adam>(3e-3);
+    } else {
+      opt_net = std::make_unique<nn::Sgd>(0.05, 0.9);
+      opt_ref = std::make_unique<nn::Sgd>(0.05, 0.9);
+    }
+    std::vector<Sample> train = mixed_training_set();
+    train.push_back(make_sample_frames(1, 1, 999));  // a one-frame sequence
+    std::uint64_t seed = 500;
+    for (int epoch = 0; epoch < 2; ++epoch) {
+      for (const Sample& s : train) {
+        net.reseed_dropout(util::Rng(seed));
+        ref.reseed_dropout(util::Rng(seed));
+        ++seed;
+        const auto got = net.train_step(s);
+        const auto want = ref.train_step(s);
+        ASSERT_EQ(got.loss, want.loss) << "sample seed " << seed;
+        EXPECT_EQ(nn::clip_gradient_norm(net.params(), 5.0),
+                  nn::clip_gradient_norm(ref.params(), 5.0));
+        opt_net->step(net.params());
+        opt_ref->step(ref.params());
+      }
+    }
+    const std::vector<nn::Param*> a = net.params();
+    const std::vector<nn::Param*> b = ref.params();
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t p = 0; p < a.size(); ++p) {
+      EXPECT_EQ(0, std::memcmp(a[p]->value.data(), b[p]->value.data(),
+                               a[p]->value.size() * sizeof(float)))
+          << (adam ? "adam" : "sgd") << " param " << p << " (" << a[p]->name << ")";
+    }
+  }
 }
 
 // Pins the trained weights of a tiny fit across commits, once under Adam and
