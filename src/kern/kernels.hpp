@@ -74,12 +74,12 @@ inline void gemv_frames(const float* __restrict w, const float* __restrict x,
 }
 
 // at[k*rows + r] = a[r*cols + k]: the [cols, rows] operand gemm_bias needs
-// to compute y = a x + b with gemv's per-element order.
+// to compute y = a x + b with gemv's per-element order. k-outer, so the
+// writes run contiguously and only the reads stride.
 inline void transpose(const float* a, int rows, int cols, float* at) {
-  for (int r = 0; r < rows; ++r) {
-    for (int k = 0; k < cols; ++k) {
-      at[static_cast<std::size_t>(k) * rows + r] = a[static_cast<std::size_t>(r) * cols + k];
-    }
+  for (int k = 0; k < cols; ++k) {
+    float* atk = at + static_cast<std::size_t>(k) * rows;
+    for (int r = 0; r < rows; ++r) atk[r] = a[static_cast<std::size_t>(r) * cols + k];
   }
 }
 

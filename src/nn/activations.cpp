@@ -1,6 +1,6 @@
 #include "nn/activations.hpp"
 
-#include <cmath>
+#include <algorithm>
 #include <stdexcept>
 
 namespace m2ai::nn {
@@ -20,22 +20,6 @@ Tensor ReLU::backward(const Tensor& grad_output) {
   for (std::size_t i = 0; i < g.size(); ++i) {
     if (x[i] <= 0.0f) g[i] = 0.0f;
   }
-  return g;
-}
-
-Tensor Tanh::forward(const Tensor& input, bool train) {
-  Tensor y = input;
-  for (std::size_t i = 0; i < y.size(); ++i) y[i] = std::tanh(y[i]);
-  if (train) cache_.push_back(y);
-  return y;
-}
-
-Tensor Tanh::backward(const Tensor& grad_output) {
-  if (cache_.empty()) throw std::logic_error("Tanh::backward: no cached forward");
-  const Tensor y = std::move(cache_.back());
-  cache_.pop_back();
-  Tensor g = grad_output;
-  for (std::size_t i = 0; i < g.size(); ++i) g[i] *= 1.0f - y[i] * y[i];
   return g;
 }
 

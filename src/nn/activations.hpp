@@ -1,4 +1,4 @@
-// Element-wise activation layers.
+// Element-wise activation layer.
 #pragma once
 
 #include <deque>
@@ -16,17 +16,6 @@ class ReLU : public Layer {
 
  private:
   std::deque<Tensor> cache_;  // inputs
-};
-
-class Tanh : public Layer {
- public:
-  Tensor forward(const Tensor& input, bool train) override;
-  Tensor backward(const Tensor& grad_output) override;
-  void clear_cache() override { cache_.clear(); }
-  std::string name() const override { return "Tanh"; }
-
- private:
-  std::deque<Tensor> cache_;  // outputs (tanh'(x) = 1 - y^2)
 };
 
 }  // namespace m2ai::nn

@@ -7,12 +7,9 @@
 
 #include "kern/backend.hpp"
 #include "kern/kernels.hpp"
+#include "nn/math.hpp"
 
 namespace m2ai::nn {
-
-namespace {
-inline float sigmoid(float x) { return 1.0f / (1.0f + std::exp(-x)); }
-}  // namespace
 
 Lstm::Lstm(int input_size, int hidden_size, util::Rng& rng)
     : input_size_(input_size),
@@ -67,12 +64,12 @@ std::vector<Tensor> Lstm::forward(const std::vector<Tensor>& inputs, bool train)
   const kern::Backend& be = train ? kern::reference_backend() : kern::active();
 
   for (const Tensor& input : inputs) {
-    const Tensor x = input.rank() == 1 ? input : input.flattened();
-    if (static_cast<int>(x.size()) != in_size) {
-      throw std::invalid_argument("Lstm::forward: bad input size " + x.shape_string());
+    // Any rank is read as its flat values.
+    if (static_cast<int>(input.size()) != in_size) {
+      throw std::invalid_argument("Lstm::forward: bad input size " + input.shape_string());
     }
     float* xh = train ? ws.alloc(static_cast<std::size_t>(joint)) : xh_eval;
-    std::memcpy(xh, x.data(), static_cast<std::size_t>(in_size) * sizeof(float));
+    std::memcpy(xh, input.data(), static_cast<std::size_t>(in_size) * sizeof(float));
     std::memcpy(xh + in_size, h_prev, static_cast<std::size_t>(h_size) * sizeof(float));
 
     // z = W [x; h_prev] + b, gate blocks [i; f; g; o]: one m=1 GEMM over
@@ -83,14 +80,15 @@ std::vector<Tensor> Lstm::forward(const std::vector<Tensor>& inputs, bool train)
     float* gates = train ? ws.alloc(static_cast<std::size_t>(rows)) : z;
     float* c = train ? ws.alloc(static_cast<std::size_t>(h_size)) : c_eval;
     float* tanh_c = train ? ws.alloc(static_cast<std::size_t>(h_size)) : tanh_eval;
-    for (int u = 0; u < h_size; ++u) gates[u] = sigmoid(z[u]);
-    for (int u = 0; u < h_size; ++u) gates[h_size + u] = sigmoid(z[h_size + u]);
-    for (int u = 0; u < h_size; ++u) gates[2 * h_size + u] = std::tanh(z[2 * h_size + u]);
-    for (int u = 0; u < h_size; ++u) gates[3 * h_size + u] = sigmoid(z[3 * h_size + u]);
+    // Block loops over the contiguous gate rows: sigmoid over [i; f], tanh
+    // over g, sigmoid over o, then tanh(c).
+    math::sigmoid(z, gates, 2 * h_size);
+    math::tanh(z + 2 * h_size, gates + 2 * h_size, h_size);
+    math::sigmoid(z + 3 * h_size, gates + 3 * h_size, h_size);
     for (int u = 0; u < h_size; ++u) {
       c[u] = gates[h_size + u] * c_prev[u] + gates[u] * gates[2 * h_size + u];
-      tanh_c[u] = std::tanh(c[u]);
     }
+    math::tanh(c, tanh_c, h_size);
     Tensor h_new({h_size});
     float* h = h_new.data();
     for (int u = 0; u < h_size; ++u) h[u] = gates[3 * h_size + u] * tanh_c[u];
@@ -137,13 +135,12 @@ std::vector<std::vector<Tensor>> Lstm::forward_batch(
   for (std::size_t t = 0; t < t_len; ++t) {
     for (std::size_t b = 0; b < batch; ++b) {
       const Tensor& input = (*seqs[b])[t];
-      const Tensor x = input.rank() == 1 ? input : input.flattened();
-      if (static_cast<int>(x.size()) != in_size) {
+      if (static_cast<int>(input.size()) != in_size) {
         throw std::invalid_argument("Lstm::forward_batch: bad input size " +
-                                    x.shape_string());
+                                    input.shape_string());
       }
       float* row = xh + b * static_cast<std::size_t>(joint);
-      std::memcpy(row, x.data(), static_cast<std::size_t>(in_size) * sizeof(float));
+      std::memcpy(row, input.data(), static_cast<std::size_t>(in_size) * sizeof(float));
       std::memcpy(row + in_size, h_prev[b],
                   static_cast<std::size_t>(h_size) * sizeof(float));
     }
@@ -154,18 +151,18 @@ std::vector<std::vector<Tensor>> Lstm::forward_batch(
     for (std::size_t b = 0; b < batch; ++b) {
       float* zb = z + b * static_cast<std::size_t>(rows);
       float* cb = c + b * static_cast<std::size_t>(h_size);
-      for (int u = 0; u < h_size; ++u) zb[u] = sigmoid(zb[u]);
-      for (int u = 0; u < h_size; ++u) zb[h_size + u] = sigmoid(zb[h_size + u]);
-      for (int u = 0; u < h_size; ++u) zb[2 * h_size + u] = std::tanh(zb[2 * h_size + u]);
-      for (int u = 0; u < h_size; ++u) zb[3 * h_size + u] = sigmoid(zb[3 * h_size + u]);
+      math::sigmoid(zb, zb, 2 * h_size);
+      math::tanh(zb + 2 * h_size, zb + 2 * h_size, h_size);
+      math::sigmoid(zb + 3 * h_size, zb + 3 * h_size, h_size);
+      // Same in-place cell update as eval forward(): cb[u] reads only its
+      // own previous value.
+      for (int u = 0; u < h_size; ++u) {
+        cb[u] = zb[h_size + u] * cb[u] + zb[u] * zb[2 * h_size + u];
+      }
       Tensor h_new({h_size});
       float* h = h_new.data();
-      for (int u = 0; u < h_size; ++u) {
-        // Same in-place cell update as eval forward(): cb[u] reads only its
-        // own previous value.
-        cb[u] = zb[h_size + u] * cb[u] + zb[u] * zb[2 * h_size + u];
-        h[u] = zb[3 * h_size + u] * std::tanh(cb[u]);
-      }
+      math::tanh(cb, h, h_size);
+      for (int u = 0; u < h_size; ++u) h[u] = zb[3 * h_size + u] * h[u];
       outputs[b].push_back(std::move(h_new));
       h_prev[b] = outputs[b].back().data();
     }

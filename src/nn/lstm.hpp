@@ -8,7 +8,12 @@
 // of the packed [x; h_prev] vector against Wᵀ, transposed into scratch once
 // per forward call, and the per-step BPTT caches live in a flat workspace
 // arena instead of nine Tensors per step — both bitwise-identical to the
-// per-gate scalar loops they replaced.
+// per-gate scalar loops they replaced. The nonlinearities are the repo's own
+// float sigmoid and tanh (nn/math.hpp), run as block loops over the
+// contiguous gate rows — sigmoid over [i; f], tanh over g, sigmoid over o,
+// then tanh(c) — which the compiler vectorizes and which give the same bits
+// as scalar calls, on any host and at any -O/-march. backward() only reads
+// the cached gates.
 #pragma once
 
 #include <vector>

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "nn/math.hpp"
+
 namespace m2ai::nn {
 
 Tensor softmax(const Tensor& logits) {
@@ -11,11 +13,10 @@ Tensor softmax(const Tensor& logits) {
   const std::size_t n = p.size();
   float mx = d[0];
   for (std::size_t i = 1; i < n; ++i) mx = std::max(mx, d[i]);
+  for (std::size_t i = 0; i < n; ++i) d[i] -= mx;
+  math::exp(d, d, static_cast<int>(n));
   double z = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    d[i] = std::exp(d[i] - mx);
-    z += d[i];
-  }
+  for (std::size_t i = 0; i < n; ++i) z += d[i];
   const float inv = static_cast<float>(1.0 / z);
   for (std::size_t i = 0; i < n; ++i) d[i] *= inv;
   return p;

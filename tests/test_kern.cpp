@@ -131,6 +131,26 @@ TEST(KernGemm, BitwiseMatchesNaiveTripleLoop) {
   }
 }
 
+TEST(KernTranspose, MatchesNaive) {
+  util::Rng rng(19);
+  // The two LSTM weights ([4H, I+H] at 48->32 and 32->32), the merge FC's
+  // [48, 120], and odd and degenerate shapes.
+  const int shapes[][2] = {{128, 80}, {128, 64}, {48, 120}, {7, 13}, {1, 1}, {5, 0}};
+  for (const auto& s : shapes) {
+    const int rows = s[0], cols = s[1];
+    const auto a = random_floats(static_cast<std::size_t>(rows) * cols, rng);
+    std::vector<float> at(a.size(), -1.0f);
+    kern::transpose(a.data(), rows, cols, at.data());
+    for (int r = 0; r < rows; ++r) {
+      for (int k = 0; k < cols; ++k) {
+        ASSERT_EQ(at[static_cast<std::size_t>(k) * rows + r],
+                  a[static_cast<std::size_t>(r) * cols + k])
+            << rows << "x" << cols << " at " << r << "," << k;
+      }
+    }
+  }
+}
+
 TEST(KernConv1dRow, BitwiseMatchesNaivePerElementLoop) {
   util::Rng rng(11);
   // (len, kernel, stride, padding) including kernel > len and zero padding.

@@ -577,15 +577,6 @@ TEST(ReLU, BackwardMasksNegatives) {
   EXPECT_FLOAT_EQ(g.at(1), 7.0f);
 }
 
-TEST(Tanh, ForwardAndGradient) {
-  Tanh tanh_layer;
-  const Tensor x = Tensor::from({0.5f});
-  const Tensor y = tanh_layer.forward(x, true);
-  EXPECT_NEAR(y.at(0), std::tanh(0.5f), 1e-6);
-  const Tensor g = tanh_layer.backward(Tensor::from({1.0f}));
-  EXPECT_NEAR(g.at(0), 1.0f - y.at(0) * y.at(0), 1e-6);
-}
-
 TEST(MaxPool1d, ForwardSelectsMax) {
   MaxPool1d pool(2);
   Tensor x({1, 4});
