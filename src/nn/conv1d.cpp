@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
 
 #include "kern/kernels.hpp"
@@ -32,6 +33,47 @@ int Conv1d::output_length(int input_length) const {
 namespace {
 // The frames of a [C, L, B] batch; a [C, L] tensor is one frame.
 int batch_of(const Tensor& t) { return t.rank() == 3 ? t.dim(2) : 1; }
+
+// Output channels of one tile (one accumulator each); a tile's lanes are
+// kern::kLanes (8 with AVX, 4 without).
+constexpr int kOcTile = 8;
+using kern::f32v;
+using kern::i32v;
+using kern::kLanes;
+
+// One tile's output channels: their weights packed channel-minor,
+// w[c*8 + j] = weight of channel oc0 + j at c = ic*K + k, so one pointer
+// reaches all eight (eight row pointers spilled the partial sums), and
+// their biases. A tile of fewer than kOcTile channels repeats
+// its last channel in the spare slots and stores only its own.
+struct OcTile {
+  const float* w;
+  float b[kOcTile];
+  int n;
+};
+
+// Packs every tile's weights, tile after tile, into `packed`.
+void pack_tiles(const float* w, int out_channels, std::size_t kc, float* packed) {
+  for (int oc0 = 0; oc0 < out_channels; oc0 += kOcTile) {
+    const int n = std::min(kOcTile, out_channels - oc0);
+    for (int j = 0; j < kOcTile; ++j) {
+      const float* row = w + static_cast<std::size_t>(oc0 + std::min(j, n - 1)) * kc;
+      for (std::size_t c = 0; c < kc; ++c) packed[c * kOcTile + j] = row[c];
+    }
+    packed += kc * kOcTile;
+  }
+}
+
+OcTile oc_tile(const float* packed, const float* bias, int oc0, int out_channels,
+               std::size_t kc) {
+  OcTile t;
+  t.w = packed + static_cast<std::size_t>(oc0) * kc;
+  t.n = std::min(kOcTile, out_channels - oc0);
+  for (int j = 0; j < kOcTile; ++j) t.b[j] = bias[oc0 + std::min(j, t.n - 1)];
+  return t;
+}
+
+int floor_div(int a, int b) { return a >= 0 ? a / b : -((-a + b - 1) / b); }
 }  // namespace
 
 Tensor Conv1d::forward(const Tensor& input, bool train) {
@@ -46,100 +88,167 @@ Tensor Conv1d::forward(const Tensor& input, bool train) {
   std::vector<int> out_shape{out_channels_, out_len};
   if (input.rank() == 3) out_shape.push_back(batch);
   Tensor y(std::move(out_shape));
-
-  const float* x = input.data();
-  const float* w = weight_.value.data();
-  float* out = y.data();
-  // One loop nest for one frame or a frame-minor batch, training and
-  // evaluation, under every backend. It vectorizes across output positions
-  // and frames without reordering any element's sum:
-  //  - Each input row is de-strided once into `stride` phase rows,
-  //    phase[ph][m][f] = x[m*stride + ph][f], so the values tap k reads,
-  //    x[ol*stride + k - padding][f], form one contiguous (shifted) run of
-  //    (hi - lo) * B floats. A stride-1 input is its own phase row.
-  //  - Every tap keeps exact bounds: it only touches the ol in [lo, hi)
-  //    whose input lies inside [0, len), the same range for every frame — no
-  //    zero-padded taps (DESIGN §6).
-  //  - kOcBlock output channels share each pass over a tap's run. Per
-  //    (channel block, ic) a zeroed partial row takes the valid taps
-  //    k-ascending and is then folded into y, ic ascending; out_channels is
-  //    padded to the block with zero-weight rows that are never folded.
-  //  - So y = bias + sum_ic (+0 + sum_k w * x): the old per-element loop's
-  //    order, bit for bit, for every frame.
-  constexpr int kOcBlock = 4;
-  const std::size_t nb = static_cast<std::size_t>(batch);
-  const std::size_t n_out = static_cast<std::size_t>(out_len) * nb;  // one output row
-  const std::size_t phase_row = static_cast<std::size_t>((len + stride_ - 1) / stride_) * nb;
+  // Register tiles of 8 output channels x kLanes lanes (DESIGN §6), one nest
+  // per choice of lane axis: frames for a batch of at least kLanes,
+  // flattened (position, frame) pairs below that. Either way each output element is
+  // y = bias + sum_ic (+0 + sum_k w * x) — the naive per-element loop's
+  // order, with exactly the taps whose input lies inside [0, len).
   ws_.reset();
-  const float* phases = x;
-  if (stride_ > 1) {
-    float* rows = ws_.alloc(static_cast<std::size_t>(in_channels_) * stride_ * phase_row);
-    const std::size_t step = static_cast<std::size_t>(stride_) * nb;
-    for (int ic = 0; ic < in_channels_; ++ic) {
-      for (int ph = 0; ph < stride_; ++ph) {
-        const float* xs = x + (static_cast<std::size_t>(ic) * len + ph) * nb;
-        float* row = rows + (static_cast<std::size_t>(ic) * stride_ + ph) * phase_row;
-        const int count = (len - ph + stride_ - 1) / stride_;  // m*stride + ph < len
-        // One frame copies single floats; a copy loop of one float per
-        // position would cost the serving path more than the convolution.
-        if (nb == 1) {
-          for (int m = 0; m < count; ++m) row[m] = xs[static_cast<std::size_t>(m) * step];
-        } else {
-          for (int m = 0; m < count; ++m) {
-            const float* src = xs + static_cast<std::size_t>(m) * step;
-            float* dst = row + static_cast<std::size_t>(m) * nb;
-            for (std::size_t f = 0; f < nb; ++f) dst[f] = src[f];
-          }
-        }
-      }
-    }
-    phases = rows;
-  }
-  // Each tap's valid output range [lo, hi) and the start of the values it
-  // reads in its input channel's phase rows, the same for every channel.
-  taps_.clear();
-  for (int k = 0; k < kernel_; ++k) {
-    const int off = k - padding_;  // x index at ol == 0
-    const int lo = off < 0 ? std::min(out_len, (-off + stride_ - 1) / stride_) : 0;
-    const int hi = off < len ? std::min(out_len, (len - 1 - off) / stride_ + 1) : 0;
-    const int ph = ((off % stride_) + stride_) % stride_;
-    const int shift = (off - ph) / stride_;  // x[ol*stride + off] = phase[ph][ol + shift]
-    taps_.push_back({lo, hi, static_cast<std::size_t>(ph) * phase_row +
-                                 static_cast<std::size_t>(lo + shift) * nb});
-  }
-  float* partial = ws_.alloc(kOcBlock * n_out);
-  for (int oc = 0; oc < out_channels_; oc += kOcBlock) {
-    const int nj = std::min(kOcBlock, out_channels_ - oc);
-    float* yb = out + static_cast<std::size_t>(oc) * n_out;
-    for (int j = 0; j < nj; ++j) {
-      std::fill_n(yb + j * n_out, n_out, bias_.value[static_cast<std::size_t>(oc + j)]);
-    }
-    for (int ic = 0; ic < in_channels_; ++ic) {
-      const float* ic_rows = phases + static_cast<std::size_t>(ic) * stride_ * phase_row;
-      std::fill_n(partial, kOcBlock * n_out, 0.0f);
-      for (int k = 0; k < kernel_; ++k) {
-        const Tap& tap = taps_[static_cast<std::size_t>(k)];
-        if (tap.lo >= tap.hi) continue;
-        const float* src = ic_rows + tap.src;
-        float* p = partial + static_cast<std::size_t>(tap.lo) * nb;
-        float wb[kOcBlock];
-        for (int j = 0; j < kOcBlock; ++j) {
-          wb[j] = j < nj ? w[((static_cast<std::size_t>(oc) + j) * in_channels_ + ic) * kernel_ + k]
-                         : 0.0f;
-        }
-        const std::size_t run = static_cast<std::size_t>(tap.hi - tap.lo) * nb;
-        for (std::size_t i = 0; i < run; ++i) {
-          const float tv = src[i];
-          for (int j = 0; j < kOcBlock; ++j) p[j * n_out + i] += wb[j] * tv;
-        }
-      }
-      // The block's live rows are contiguous in y and in the partial.
-      const std::size_t n_block = static_cast<std::size_t>(nj) * n_out;
-      for (std::size_t i = 0; i < n_block; ++i) yb[i] += partial[i];
-    }
+  const std::size_t kc = static_cast<std::size_t>(in_channels_) * kernel_;
+  float* packed = ws_.alloc((static_cast<std::size_t>(out_channels_) + kOcTile - 1) /
+                            kOcTile * kOcTile * kc);
+  pack_tiles(weight_.value.data(), out_channels_, kc, packed);
+  if (batch >= kLanes) {
+    forward_frame_lanes(input.data(), packed, len, out_len, batch, y.data());
+  } else {
+    forward_position_lanes(input.data(), packed, len, out_len, batch, y.data());
   }
   if (train) cache_.push_back(input);
   return y;
+}
+
+// Frames ride the lanes. All lanes of a tile share one output position ol,
+// so its valid taps are the scalar range [k_lo, k_hi) and every load is
+// kLanes consecutive frames of one input position: no masks and no copy of
+// the input. The last lane group starts at batch - kLanes and recomputes a
+// few frames of its neighbour with the same bits.
+void Conv1d::forward_frame_lanes(const float* x, const float* packed, int len, int out_len,
+                                 int batch, float* y) const {
+  const std::size_t nb = static_cast<std::size_t>(batch);
+  const std::size_t n_out = static_cast<std::size_t>(out_len) * nb;  // one output row
+  const std::size_t kc = static_cast<std::size_t>(in_channels_) * kernel_;
+  for (int oc0 = 0; oc0 < out_channels_; oc0 += kOcTile) {
+    const OcTile t = oc_tile(packed, bias_.value.data(), oc0, out_channels_, kc);
+    for (int ol = 0; ol < out_len; ++ol) {
+      const int start = ol * stride_ - padding_;  // input position of tap 0
+      const int k_lo = std::max(0, -start);
+      const int k_hi = std::min(kernel_, len - start);
+      float* yo = y + static_cast<std::size_t>(oc0) * n_out + static_cast<std::size_t>(ol) * nb;
+      for (std::size_t f0 = 0;; f0 += kLanes) {
+        f0 = std::min(f0, nb - kLanes);
+        f32v acc[kOcTile];
+#pragma GCC unroll 8
+        for (int j = 0; j < kOcTile; ++j) kern::splat(acc[j], t.b[j]);
+        for (int ic = 0; ic < in_channels_; ++ic) {
+          const float* xc = x + static_cast<std::size_t>(ic) * len * nb + f0;
+          const std::size_t wo = static_cast<std::size_t>(ic) * kernel_;
+          f32v part[kOcTile];
+#pragma GCC unroll 8
+          for (int j = 0; j < kOcTile; ++j) part[j] = f32v{};
+          for (int k = k_lo; k < k_hi; ++k) {
+            f32v xv;
+            kern::load(xv, xc + static_cast<std::size_t>(start + k) * nb);
+#pragma GCC unroll 8
+            for (int j = 0; j < kOcTile; ++j) part[j] += t.w[(wo + k) * kOcTile + j] * xv;
+          }
+#pragma GCC unroll 8
+          for (int j = 0; j < kOcTile; ++j) acc[j] += part[j];
+        }
+        for (int j = 0; j < t.n; ++j) kern::store(yo + j * n_out + f0, acc[j]);
+        if (f0 + kLanes == nb) break;
+      }
+    }
+  }
+}
+
+// Flattened (position, frame) pairs ride the lanes: lane e of an output row
+// is ol = e / batch, frame e % batch. The input is copied once into
+// zero-margined phase rows, phase[ph][m][f] = x[m*stride + ph][f], so tap k
+// reads one contiguous run, x[ol*stride + k - padding][f] =
+// phase[ph][ol + shift][f], for every lane. A tap is valid for the lanes e in
+// [lo*batch, hi*batch), where [lo, hi) are the outputs whose input lies
+// inside [0, len); a tile whose lanes are all valid adds plainly, and at the
+// edges the invalid lanes add -0 instead, which leaves any sum unchanged.
+// The last lane group starts kLanes before the row's end; a shorter row
+// runs as one group and stores only its own lanes.
+void Conv1d::forward_position_lanes(const float* x, const float* packed, int len,
+                                    int out_len, int batch, float* y) {
+  const std::size_t nb = static_cast<std::size_t>(batch);
+  const std::size_t n_out = static_cast<std::size_t>(out_len) * nb;
+  const std::size_t g_end = std::max<std::size_t>(n_out, kLanes);  // lanes computed per row
+  const int s = stride_;
+  const int margin = (padding_ + s - 1) / s;  // positions before m = 0
+  const int count = (len + s - 1) / s;        // positions of the longest phase
+  const int max_shift = floor_div(kernel_ - 1 - padding_, s);
+  const std::size_t row_len =
+      std::max(static_cast<std::size_t>(margin + count) * nb,
+               g_end + static_cast<std::size_t>(max_shift + margin) * nb);
+  float* phases = ws_.alloc_zero(static_cast<std::size_t>(in_channels_) * s * row_len);
+  for (int ic = 0; ic < in_channels_; ++ic) {
+    for (int ph = 0; ph < s; ++ph) {
+      const float* xs = x + (static_cast<std::size_t>(ic) * len + ph) * nb;
+      float* row = phases + (static_cast<std::size_t>(ic) * s + ph) * row_len +
+                   static_cast<std::size_t>(margin) * nb;
+      // One frame copies single floats: a copy of nb floats per position
+      // would become a library call per position.
+      if (nb == 1) {
+        for (int m = 0; m * s + ph < len; ++m) row[m] = xs[static_cast<std::size_t>(m) * s];
+      } else {
+        for (int m = 0; m * s + ph < len; ++m) {
+          std::copy_n(xs + static_cast<std::size_t>(m) * s * nb, nb,
+                      row + static_cast<std::size_t>(m) * nb);
+        }
+      }
+    }
+  }
+  taps_.clear();
+  for (int k = 0; k < kernel_; ++k) {
+    const int off = k - padding_;  // x index at ol == 0
+    const int lo = off < 0 ? std::min(out_len, (-off + s - 1) / s) : 0;
+    const int hi = off < len ? std::min(out_len, (len - 1 - off) / s + 1) : 0;
+    const int shift = floor_div(off, s);
+    const int ph = off - shift * s;
+    taps_.push_back({static_cast<int>(lo * nb), static_cast<int>(std::max(lo, hi) * nb),
+                     static_cast<std::size_t>(ph) * row_len +
+                         static_cast<std::size_t>(shift + margin) * nb});
+  }
+  i32v iota;
+  for (int i = 0; i < kLanes; ++i) iota[i] = i;
+  f32v neg_zero;
+  kern::splat(neg_zero, -0.0f);
+  const std::size_t kc = static_cast<std::size_t>(in_channels_) * kernel_;
+  for (int oc0 = 0; oc0 < out_channels_; oc0 += kOcTile) {
+    const OcTile t = oc_tile(packed, bias_.value.data(), oc0, out_channels_, kc);
+    float* yb = y + static_cast<std::size_t>(oc0) * n_out;
+    for (std::size_t g0 = 0;; g0 += kLanes) {
+      g0 = std::min(g0, g_end - kLanes);
+      const int e0 = static_cast<int>(g0);
+      const i32v lane = iota + e0;
+      f32v acc[kOcTile];
+#pragma GCC unroll 8
+      for (int j = 0; j < kOcTile; ++j) kern::splat(acc[j], t.b[j]);
+      for (int ic = 0; ic < in_channels_; ++ic) {
+        const float* rows = phases + static_cast<std::size_t>(ic) * s * row_len + g0;
+        const std::size_t wo = static_cast<std::size_t>(ic) * kernel_;
+        f32v part[kOcTile];
+#pragma GCC unroll 8
+        for (int j = 0; j < kOcTile; ++j) part[j] = f32v{};
+        for (int k = 0; k < kernel_; ++k) {
+          const Tap& tap = taps_[static_cast<std::size_t>(k)];
+          if (tap.hi <= e0 || tap.lo >= e0 + kLanes) continue;  // no valid lane
+          f32v xv;
+          kern::load(xv, rows + tap.src);
+          if (tap.lo <= e0 && e0 + kLanes <= tap.hi) {
+#pragma GCC unroll 8
+            for (int j = 0; j < kOcTile; ++j) part[j] += t.w[(wo + k) * kOcTile + j] * xv;
+          } else {
+            const i32v valid = (lane >= tap.lo) & (lane < tap.hi);
+#pragma GCC unroll 8
+            for (int j = 0; j < kOcTile; ++j) {
+              part[j] += valid ? t.w[(wo + k) * kOcTile + j] * xv : neg_zero;
+            }
+          }
+        }
+#pragma GCC unroll 8
+        for (int j = 0; j < kOcTile; ++j) acc[j] += part[j];
+      }
+      const std::size_t n_store = std::min<std::size_t>(kLanes, n_out - g0);
+      for (int j = 0; j < t.n; ++j) {
+        std::memcpy(yb + j * n_out + g0, &acc[j], n_store * sizeof(float));
+      }
+      if (g0 + kLanes == g_end) break;
+    }
+  }
 }
 
 Tensor Conv1d::backward(const Tensor& grad_output) {

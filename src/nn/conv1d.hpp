@@ -3,10 +3,18 @@
 // padding; output [C_out, L_out] with L_out = (L + 2*pad - K)/stride + 1.
 //
 // A frame-minor batch [C_in, L, B] (nn::stack_frames: the B frames of a
-// sequence, frame index innermost) runs through the same loop nest and gives
-// [C_out, L_out, B], each frame bitwise equal to its own [C_in, L] call; a
-// backward over the batch accumulates the parameter gradients that B
-// single-frame backward calls, LIFO, would (DESIGN §6).
+// sequence, frame index innermost) gives [C_out, L_out, B], each frame
+// bitwise equal to its own [C_in, L] call; a backward over the batch
+// accumulates the parameter gradients that B single-frame backward calls,
+// LIFO, would (DESIGN §6).
+//
+// forward() runs register tiles of 8 output channels x kern::kLanes lanes
+// (8 with AVX, 4 without), each lane one output element summed in the naive
+// loop's order over exactly its valid taps. With B >= kLanes the lanes are
+// frames at one output position (two scalar tap bounds per position, no
+// masks, no input copy); below that they are consecutive (position, frame)
+// pairs read from a zero-margined, de-strided copy of the input, with
+// per-tap lane masks at the edges.
 #pragma once
 
 #include <deque>
@@ -45,12 +53,18 @@ class Conv1d : public Layer {
   InputGrad input_grad_;
   Param weight_;  // [C_out, C_in, K]
   Param bias_;    // [C_out]
+  // forward()'s two register-tile nests (DESIGN §6).
+  // `packed` holds the weights of every 8-channel tile, channel-minor.
+  void forward_frame_lanes(const float* x, const float* packed, int len, int out_len,
+                           int batch, float* y) const;
+  void forward_position_lanes(const float* x, const float* packed, int len, int out_len,
+                              int batch, float* y);
   struct Tap {
-    int lo, hi;       // outputs whose input lies inside [0, L)
-    std::size_t src;  // offset of output lo's value in its channel's phase rows
+    int lo, hi;       // lanes of an output row whose input lies inside [0, L)
+    std::size_t src;  // offset of lane 0's value in its channel's phase rows
   };
   std::deque<Tensor> cache_;
-  std::vector<Tap> taps_;     // forward: per-call tap table
+  std::vector<Tap> taps_;     // forward_position_lanes: per-call tap table
   kern::Workspace ws_;        // per-call scratch rows of forward and backward
   std::vector<int> nonzero_;  // backward: outputs of one (oc, frame) with a non-zero gradient
 };

@@ -25,7 +25,10 @@ Tensor Dense::forward(const Tensor& input, bool train) {
                                 " features or [" + std::to_string(in_) + ", B], got " +
                                 input.shape_string());
   }
-  const Tensor x = batched || input.rank() == 1 ? input : input.flattened();
+  // A view of the input as a vector or [in, B]; only a higher-rank single
+  // frame needs a flattened copy.
+  Tensor flat;
+  const Tensor& x = batched || input.rank() == 1 ? input : (flat = input.flattened());
   const int batch = batched ? input.dim(1) : 1;
   Tensor y(batched ? std::vector<int>{out_, batch} : std::vector<int>{out_});
   // Every frame gets y[o] = b[o] + sum_k w[o][k] x[k], k ascending. One frame

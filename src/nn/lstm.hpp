@@ -6,9 +6,12 @@
 //
 // All four gates of a timestep are computed as one m=1 GEMM (kern::gemm_bias)
 // of the packed [x; h_prev] vector against Wᵀ, transposed into scratch once
-// per forward call, and the per-step BPTT caches live in a flat workspace
-// arena instead of nine Tensors per step — both bitwise-identical to the
-// per-gate scalar loops they replaced. The nonlinearities are the repo's own
+// per forward call (8x8 blocks through registers), and the per-step BPTT
+// caches live in a flat workspace arena instead of nine Tensors per step —
+// both bitwise-identical to the per-gate scalar loops they replaced.
+// gemm_bias keeps 64 gate rows (32 without AVX) in eight vector
+// accumulators across the whole [x; h_prev] input, each row still bias
+// first, then its terms in order (DESIGN §6). The nonlinearities are the repo's own
 // float sigmoid and tanh (nn/math.hpp), run as block loops over the
 // contiguous gate rows — sigmoid over [i; f], tanh over g, sigmoid over o,
 // then tanh(c) — which the compiler vectorizes and which give the same bits

@@ -4,6 +4,8 @@
 #include <numeric>
 #include <sstream>
 
+#include "kern/kernels.hpp"
+
 namespace m2ai::nn {
 
 Tensor::Tensor(std::vector<int> shape) : shape_(std::move(shape)) {
@@ -132,11 +134,10 @@ Tensor stack_frames(const std::vector<const Tensor*>& frames) {
     }
     src[f] = frames[f]->data();
   }
-  // Written in order, read as n sequential streams.
-  float* dst = out.data();
-  for (std::size_t i = 0; i < frames[0]->size(); ++i) {
-    for (std::size_t f = 0; f < n; ++f) *dst++ = src[f][i];
-  }
+  // Frame f's values become column f: a transpose of the [n, size] frame
+  // rows, 8x8 blocks at a time.
+  kern::transpose_rows([&src](int f) { return src[static_cast<std::size_t>(f)]; },
+                       static_cast<int>(n), static_cast<int>(frames[0]->size()), out.data());
   return out;
 }
 

@@ -6,6 +6,7 @@
 #include <complex>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "core/frames.hpp"
@@ -131,11 +132,88 @@ TEST(KernGemm, BitwiseMatchesNaiveTripleLoop) {
   }
 }
 
+// gemm_bias keeps 64 outputs of a row in registers, then runs 8-column and
+// single-column tails: every n below reaches a different mix of them.
+TEST(KernGemmBias, BitwiseMatchesNaiveAtTileTails) {
+  util::Rng rng(20);
+  for (const int m : {1, 2, 8, 20}) {
+    for (const int k : {0, 1, 64, 80}) {
+      for (const int n : {1, 12, 63, 64, 65, 128, 130}) {
+        auto a = random_floats(static_cast<std::size_t>(m) * k, rng);
+        auto b = random_floats(static_cast<std::size_t>(k) * n, rng);
+        auto bias = random_floats(static_cast<std::size_t>(n), rng);
+        // Signed zeros: a sum that starts from the wrong zero or takes an
+        // extra +0 term shows in the sign.
+        for (std::size_t i = 0; i < a.size(); i += 3) a[i] = (i % 2 == 0) ? 0.0f : -0.0f;
+        for (std::size_t i = 1; i < b.size(); i += 5) b[i] = -0.0f;
+        for (std::size_t i = 0; i < bias.size(); i += 4) bias[i] = -0.0f;
+        for (const bool with_bias : {true, false}) {
+          const float* bp = with_bias ? bias.data() : nullptr;
+          std::vector<float> c(static_cast<std::size_t>(m) * n, -1.0f);
+          kern::gemm_bias(a.data(), b.data(), bp, c.data(), m, k, n);
+          std::vector<float> ref(c.size());
+          for (int i = 0; i < m; ++i) {
+            for (int j = 0; j < n; ++j) {
+              float acc = with_bias ? bias[static_cast<std::size_t>(j)] : 0.0f;
+              for (int kk = 0; kk < k; ++kk) {
+                acc += a[static_cast<std::size_t>(i) * k + kk] *
+                       b[static_cast<std::size_t>(kk) * n + j];
+              }
+              ref[static_cast<std::size_t>(i) * n + j] = acc;
+            }
+          }
+          ASSERT_EQ(0, std::memcmp(c.data(), ref.data(), c.size() * sizeof(float)))
+              << m << "x" << k << "x" << n << " bias " << with_bias;
+        }
+      }
+    }
+  }
+}
+
+// gemv_frames' 8-row x 8-frame tile, its 4-frame and single-frame tails and
+// its short row blocks give every frame gemv's bits.
+TEST(KernGemvFrames, BitwiseMatchesGemvPerFrame) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  util::Rng rng(21);
+  for (const int rows : {1, 4, 7, 8, 9, 12, 48}) {
+    for (const int cols : {13, 120}) {
+      auto w = random_floats(static_cast<std::size_t>(rows) * cols, rng);
+      const auto bias = random_floats(static_cast<std::size_t>(rows), rng);
+      // An infinite weight in the last row: a term taken for a zero input
+      // would turn that row's output into NaN.
+      w[static_cast<std::size_t>(rows - 1) * cols + 2] = kInf;
+      for (int frames = 1; frames <= 25; ++frames) {
+        const std::size_t nf = static_cast<std::size_t>(frames);
+        auto x = random_floats(static_cast<std::size_t>(cols) * nf, rng);
+        for (std::size_t i = 0; i < x.size(); i += 3) x[i] = (i % 2 == 0) ? 0.0f : -0.0f;
+        for (const bool with_bias : {true, false}) {
+          const float* bp = with_bias ? bias.data() : nullptr;
+          std::vector<float> y(static_cast<std::size_t>(rows) * nf, -1.0f);
+          kern::gemv_frames(w.data(), x.data(), bp, y.data(), rows, cols, frames);
+          std::vector<float> xf(static_cast<std::size_t>(cols)), yf(static_cast<std::size_t>(rows));
+          for (std::size_t f = 0; f < nf; ++f) {
+            for (int k = 0; k < cols; ++k) xf[static_cast<std::size_t>(k)] = x[k * nf + f];
+            kern::gemv(w.data(), xf.data(), bp, yf.data(), rows, cols);
+            for (int r = 0; r < rows; ++r) {
+              const float got = y[r * nf + f], want = yf[static_cast<std::size_t>(r)];
+              ASSERT_EQ(0, std::memcmp(&got, &want, sizeof(float)))
+                  << rows << "x" << cols << " frames " << frames << " bias " << with_bias
+                  << " at row " << r << " frame " << f;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(KernTranspose, MatchesNaive) {
   util::Rng rng(19);
   // The two LSTM weights ([4H, I+H] at 48->32 and 32->32), the merge FC's
-  // [48, 120], and odd and degenerate shapes.
-  const int shapes[][2] = {{128, 80}, {128, 64}, {48, 120}, {7, 13}, {1, 1}, {5, 0}};
+  // [48, 120], one 8x8 block, blocks whose last one overlaps (9x17) or
+  // stacks (16x8), and odd and degenerate shapes.
+  const int shapes[][2] = {{128, 80}, {128, 64}, {48, 120}, {8, 8}, {9, 17},
+                           {16, 8},   {7, 13},   {1, 1},    {5, 0}};
   for (const auto& s : shapes) {
     const int rows = s[0], cols = s[1];
     const auto a = random_floats(static_cast<std::size_t>(rows) * cols, rng);
@@ -210,6 +288,39 @@ TEST(KernNoiseProjection, BitwiseMatchesColumnInnerReference) {
       d += std::norm(dsp::inner(un_mat.column(static_cast<std::size_t>(k)), a));
     }
     ASSERT_EQ(denom[static_cast<std::size_t>(bin)], d) << "bin " << bin;
+  }
+}
+
+// Non-finite steering values: where std::complex's product has two NaN
+// parts it recovers infinities through __muldc3, which the vector tile does
+// not, so those bins must come out of the scalar loop with its bits.
+TEST(KernNoiseProjection, NonFiniteBinsMatchScalarComplexLoop) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  util::Rng rng(22);
+  const int n = 4, num_noise = 2, num_bins = 29;
+  std::vector<dsp::cdouble> un(static_cast<std::size_t>(num_noise) * n);
+  for (auto& v : un) v = dsp::cdouble{rng.normal(), rng.normal()};
+  std::vector<dsp::cdouble> steer(static_cast<std::size_t>(num_bins) * n);
+  for (auto& v : steer) v = dsp::cdouble{rng.normal(), rng.normal()};
+  steer[3] = {kInf, 0.0};
+  steer[13] = {kInf, kInf};
+  steer[42] = {kNan, 1.0};
+  steer[77] = {kInf, kNan};  // its products' parts are both NaN: __muldc3
+  std::vector<double> denom(static_cast<std::size_t>(num_bins), -1.0);
+  kern::noise_projection(un.data(), num_noise, steer.data(), num_bins, n, denom.data());
+  for (int bin = 0; bin < num_bins; ++bin) {
+    double d = 0.0;
+    for (int k = 0; k < num_noise; ++k) {
+      dsp::cdouble s{0.0, 0.0};
+      for (int i = 0; i < n; ++i) {
+        s += std::conj(un[static_cast<std::size_t>(k) * n + i]) *
+             steer[static_cast<std::size_t>(bin) * n + i];
+      }
+      d += std::norm(s);
+    }
+    const double got = denom[static_cast<std::size_t>(bin)];
+    ASSERT_EQ(0, std::memcmp(&got, &d, sizeof d)) << "bin " << bin << ": " << got << " vs " << d;
   }
 }
 

@@ -358,7 +358,11 @@ constexpr int kBatchShapes[][6] = {{6, 8, 7, 2, 3, 180}, {8, 12, 5, 3, 1, 90},
                                    {3, 5, 2, 4, 1, 17},   {2, 3, 3, 1, 2, 9},
                                    {2, 3, 3, 1, 4, 5},    {3, 2, 5, 1, 0, 5},
                                    {2, 6, 4, 3, 1, 3},    {1, 1, 1, 1, 0, 1}};
-constexpr int kBatchSizes[] = {1, 2, 16, 20};
+// Batches below 8 run Conv1d's position-lane tile (with masked edge taps);
+// 8 and more its frame-lane tile, whose last lane group overlaps unless the
+// batch is a multiple of 8. Dense's gemv_frames has 8-frame, 4-frame and
+// single-frame tiles, and each size below mixes them differently.
+constexpr int kBatchSizes[] = {1, 2, 3, 7, 8, 9, 16, 20, 23};
 
 Tensor stack(const std::vector<Tensor>& frames) {
   std::vector<const Tensor*> ptrs;

@@ -116,5 +116,39 @@ TEST(Tensor, StackFramesIsFrameMinorAndFrameOfInvertsIt) {
   EXPECT_THROW(frame_of(batch, 2), std::out_of_range);
 }
 
+// stack_frames moves 8x8 blocks; frame counts and per-frame sizes below and
+// around 8 and its multiples reach the overlapping last blocks and the
+// one-value-at-a-time path.
+TEST(Tensor, StackFramesMatchesElementwiseCopyAtBlockTails) {
+  const std::vector<std::vector<int>> shapes = {{1}, {7}, {3, 5}, {2, 13}, {6, 180}};
+  for (const int n : {1, 7, 8, 9, 20, 23}) {
+    for (const auto& shape : shapes) {
+      std::vector<Tensor> frames;
+      std::vector<const Tensor*> ptrs;
+      frames.reserve(static_cast<std::size_t>(n));
+      for (int f = 0; f < n; ++f) {
+        Tensor t(shape);
+        for (std::size_t i = 0; i < t.size(); ++i) {
+          t[i] = static_cast<float>(f) * 10000.0f + static_cast<float>(i);
+        }
+        frames.push_back(std::move(t));
+        ptrs.push_back(&frames.back());
+      }
+      const Tensor batch = stack_frames(ptrs);
+      std::vector<int> want_shape = shape;
+      want_shape.push_back(n);
+      ASSERT_EQ(batch.shape(), want_shape);
+      const std::size_t size = frames[0].size();
+      for (std::size_t i = 0; i < size; ++i) {
+        for (int f = 0; f < n; ++f) {
+          ASSERT_EQ(batch[i * static_cast<std::size_t>(n) + static_cast<std::size_t>(f)],
+                    frames[static_cast<std::size_t>(f)][i])
+              << "n=" << n << " " << frames[0].shape_string() << " at " << i << ", frame " << f;
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace m2ai::nn
