@@ -1,7 +1,6 @@
 #include "core/model.hpp"
 
 #include <algorithm>
-#include <map>
 #include <stdexcept>
 
 #include "nn/activations.hpp"
@@ -231,96 +230,55 @@ int M2AINetwork::argmax_class(const std::vector<double>& probs) {
 }
 
 int M2AINetwork::predict(const FrameSequence& frames) {
-  return predict_batch({&frames})[0];
+  return argmax_class(predict_proba(frames));
 }
 
 std::vector<double> M2AINetwork::predict_proba(const FrameSequence& frames) {
-  return predict_proba_batch({&frames})[0];
+  return predict_proba_from_features(sequence_features(frames, /*train=*/false));
 }
 
 std::vector<int> M2AINetwork::predict_batch(
     const std::vector<const FrameSequence*>& batch) {
-  const std::vector<std::vector<double>> probs = predict_proba_batch(batch);
-  std::vector<int> labels(probs.size(), 0);
-  for (std::size_t i = 0; i < probs.size(); ++i) labels[i] = argmax_class(probs[i]);
+  std::vector<int> labels;
+  labels.reserve(batch.size());
+  for (const FrameSequence* frames : batch) {
+    if (frames == nullptr) {
+      throw std::invalid_argument("M2AINetwork::predict_batch: null sequence");
+    }
+    labels.push_back(predict(*frames));
+  }
   return labels;
 }
 
-std::vector<std::vector<double>> M2AINetwork::predict_proba_batch(
-    const std::vector<const FrameSequence*>& batch) {
-  std::vector<FeatureSequence> features(batch.size());
-  std::vector<const FeatureSequence*> ptrs(batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    if (batch[i] == nullptr) {
-      throw std::invalid_argument("M2AINetwork::predict_batch: null sequence");
-    }
-    features[i] = sequence_features(*batch[i], /*train=*/false);
-    ptrs[i] = &features[i];
-  }
-  return predict_proba_from_features(ptrs);
-}
-
-std::vector<std::vector<double>> M2AINetwork::predict_proba_from_features(
-    const std::vector<const FeatureSequence*>& batch) {
-  M2AI_OBS_SPAN("nn_batch");
-  const std::size_t n = batch.size();
-  for (const FeatureSequence* seq : batch) {
-    if (seq == nullptr) {
-      throw std::invalid_argument(
-          "M2AINetwork::predict_proba_from_features: null sequence");
-    }
-  }
-
-  // LSTM outputs per sequence; CNN-only feeds the features to the head.
-  std::vector<FeatureSequence> lstm_out;
-  std::vector<const FeatureSequence*> states = batch;
+std::vector<double> M2AINetwork::predict_proba_from_features(
+    const FeatureSequence& features) {
+  M2AI_OBS_SPAN("nn_sequence");
+  // CNN-only feeds the features to the head.
+  FeatureSequence lstm_out;
   if (model_.arch != NetworkArch::kCnnOnly) {
-    lstm_out.resize(n);
-    // forward_batch needs equal-length sequences; serving batches are
-    // usually uniform (fixed window), so grouping is normally one group.
-    std::map<std::size_t, std::vector<std::size_t>> by_len;
-    for (std::size_t i = 0; i < n; ++i) by_len[batch[i]->size()].push_back(i);
-    for (const auto& group : by_len) {
-      const std::vector<std::size_t>& idxs = group.second;
-      std::vector<const FeatureSequence*> in1;
-      in1.reserve(idxs.size());
-      for (std::size_t i : idxs) in1.push_back(batch[i]);
-      const std::vector<FeatureSequence> h1 = lstm1_->forward_batch(in1);
-      std::vector<const FeatureSequence*> in2;
-      in2.reserve(h1.size());
-      for (const FeatureSequence& h : h1) in2.push_back(&h);
-      std::vector<FeatureSequence> h2 = lstm2_->forward_batch(in2);
-      for (std::size_t b = 0; b < idxs.size(); ++b) {
-        lstm_out[idxs[b]] = std::move(h2[b]);
-        states[idxs[b]] = &lstm_out[idxs[b]];
+    lstm_out = lstm2_->forward(lstm1_->forward(features, /*train=*/false), /*train=*/false);
+  }
+  const FeatureSequence& states = model_.arch == NetworkArch::kCnnOnly ? features : lstm_out;
+  std::vector<double> prob_sum(static_cast<std::size_t>(num_classes_), 0.0);
+  const std::size_t t_len = states.size();
+  if (t_len > 0) {
+    // The head runs once over the sequence ([H, T] -> [C, T]); softmax per
+    // step, summed t ascending.
+    const std::vector<nn::Tensor> logits =
+        unstack_steps(head_->forward(stack_steps(states), /*train=*/false), t_len);
+    for (const nn::Tensor& step_logits : logits) {
+      const nn::Tensor probs = nn::softmax(step_logits);
+      for (int c = 0; c < num_classes_; ++c) {
+        prob_sum[static_cast<std::size_t>(c)] += probs[static_cast<std::size_t>(c)];
       }
     }
   }
-
-  std::vector<std::vector<double>> out(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    std::vector<double> prob_sum(static_cast<std::size_t>(num_classes_), 0.0);
-    const std::size_t t_len = states[i]->size();
-    if (t_len > 0) {
-      // The head runs once over the sequence ([H, T] -> [C, T]); softmax per
-      // step, summed t ascending.
-      const std::vector<nn::Tensor> logits =
-          unstack_steps(head_->forward(stack_steps(*states[i]), /*train=*/false), t_len);
-      for (const nn::Tensor& step_logits : logits) {
-        const nn::Tensor probs = nn::softmax(step_logits);
-        for (int c = 0; c < num_classes_; ++c) {
-          prob_sum[static_cast<std::size_t>(c)] += probs[static_cast<std::size_t>(c)];
-        }
-      }
-    }
-    double total = 0.0;
-    for (double p : prob_sum) total += p;
-    if (total > 0.0) {
-      for (double& p : prob_sum) p /= total;
-    }
-    out[i] = std::move(prob_sum);
+  double total = 0.0;
+  for (double p : prob_sum) total += p;
+  if (total > 0.0) {
+    for (double& p : prob_sum) p /= total;
   }
-  return out;
+  return prob_sum;
 }
 
 std::vector<nn::Param*> M2AINetwork::params() {

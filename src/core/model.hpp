@@ -39,18 +39,13 @@ class M2AINetwork {
   StepResult train_step(const Sample& sample);
 
   // Inference: per-frame softmax probabilities summed over the sequence.
-  // Every entry point below is predict_proba_batch — predict and
-  // predict_proba are a batch of one — so a sequence's probabilities do not
-  // depend on which other sequences share its call.
+  // predict_proba is sequence_features then predict_proba_from_features,
+  // and predict is its argmax.
   int predict(const FrameSequence& frames);
   // Per-class summed probabilities (normalized); useful for examples.
   std::vector<double> predict_proba(const FrameSequence& frames);
-  // One label per sequence (the per-row argmax of predict_proba_batch).
+  // One label per sequence: predict on each in turn.
   std::vector<int> predict_batch(const std::vector<const FrameSequence*>& batch);
-  // Normalized per-class probability sums, one vector per sequence: exactly
-  // predict_proba_from_features over each frame's frame_features.
-  std::vector<std::vector<double>> predict_proba_batch(
-      const std::vector<const FrameSequence*>& batch);
 
   // Inference in its two halves. frame_features is one frame's LSTM input
   // (the head input for CNN-only): the CNN branches + merge in eval mode, or
@@ -58,18 +53,14 @@ class M2AINetwork {
   // step, so the result depends on that frame alone and a stream can
   // featurize each frame once for every sliding window that holds it
   // (serve::Service does, on its DSP workers). It is the one-frame case of
-  // the batched CNN that predict_proba_batch and train_step run once per
+  // the batched CNN that predict_proba and train_step run once per
   // sequence, bitwise equal to that sequence's column. Eval-mode layers
   // still write per-layer scratch, so concurrent callers need one clone each.
   nn::Tensor frame_features(const SpectrumFrame& frame);
-  // The rest of the network over per-frame feature sequences. Sequences are
-  // grouped by length and each group's LSTM stack runs batched
-  // (nn::Lstm::forward_batch) — one gemm per timestep across the group.
-  // Under the reference backend that gemm accumulates every output in
-  // gemv's order, so each row is bitwise identical to running its sequence
-  // alone through nn::Lstm::forward.
-  std::vector<std::vector<double>> predict_proba_from_features(
-      const std::vector<const FeatureSequence*>& batch);
+  // The rest of the network over one sequence's per-frame features: the
+  // LSTM stack (nn::Lstm::forward in eval mode) and the head, then the
+  // normalized per-class probability sums.
+  std::vector<double> predict_proba_from_features(const FeatureSequence& features);
   // The label of one probability row (first class on ties).
   static int argmax_class(const std::vector<double>& probs);
 

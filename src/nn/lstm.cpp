@@ -103,73 +103,6 @@ std::vector<Tensor> Lstm::forward(const std::vector<Tensor>& inputs, bool train)
   return outputs;
 }
 
-std::vector<std::vector<Tensor>> Lstm::forward_batch(
-    const std::vector<const std::vector<Tensor>*>& seqs) {
-  const std::size_t batch = seqs.size();
-  if (batch == 0) return {};
-  const std::size_t t_len = seqs[0]->size();
-  for (const std::vector<Tensor>* s : seqs) {
-    if (s == nullptr || s->size() != t_len) {
-      throw std::invalid_argument("Lstm::forward_batch: unequal sequence lengths");
-    }
-  }
-  const int h_size = hidden_size_;
-  const int in_size = input_size_;
-  const int joint = in_size + h_size;
-  const int rows = 4 * h_size;
-
-  scratch_ws_.reset();
-  // The same Wᵀ operand as forward(), so each sample's gate rows get
-  // forward()'s per-element order.
-  float* wt = scratch_ws_.alloc(static_cast<std::size_t>(joint) * rows);
-  kern::transpose(weight_.value.data(), rows, joint, wt);
-  float* xh = scratch_ws_.alloc(batch * static_cast<std::size_t>(joint));
-  float* z = scratch_ws_.alloc(batch * static_cast<std::size_t>(rows));
-  float* c = scratch_ws_.alloc_zero(batch * static_cast<std::size_t>(h_size));
-  const float* zeros = scratch_ws_.alloc_zero(static_cast<std::size_t>(h_size));
-
-  std::vector<const float*> h_prev(batch, zeros);
-  std::vector<std::vector<Tensor>> outputs(batch);
-  for (std::size_t b = 0; b < batch; ++b) outputs[b].reserve(t_len);
-
-  for (std::size_t t = 0; t < t_len; ++t) {
-    for (std::size_t b = 0; b < batch; ++b) {
-      const Tensor& input = (*seqs[b])[t];
-      if (static_cast<int>(input.size()) != in_size) {
-        throw std::invalid_argument("Lstm::forward_batch: bad input size " +
-                                    input.shape_string());
-      }
-      float* row = xh + b * static_cast<std::size_t>(joint);
-      std::memcpy(row, input.data(), static_cast<std::size_t>(in_size) * sizeof(float));
-      std::memcpy(row + in_size, h_prev[b],
-                  static_cast<std::size_t>(h_size) * sizeof(float));
-    }
-    // Z = XH · WT + b over the whole micro-batch: one gemm instead of
-    // `batch` gemvs per timestep — the batched serving fast path.
-    kern::active().gemm_bias(xh, wt, bias_.value.data(), z,
-                             static_cast<int>(batch), joint, rows);
-    for (std::size_t b = 0; b < batch; ++b) {
-      float* zb = z + b * static_cast<std::size_t>(rows);
-      float* cb = c + b * static_cast<std::size_t>(h_size);
-      math::sigmoid(zb, zb, 2 * h_size);
-      math::tanh(zb + 2 * h_size, zb + 2 * h_size, h_size);
-      math::sigmoid(zb + 3 * h_size, zb + 3 * h_size, h_size);
-      // Same in-place cell update as eval forward(): cb[u] reads only its
-      // own previous value.
-      for (int u = 0; u < h_size; ++u) {
-        cb[u] = zb[h_size + u] * cb[u] + zb[u] * zb[2 * h_size + u];
-      }
-      Tensor h_new({h_size});
-      float* h = h_new.data();
-      math::tanh(cb, h, h_size);
-      for (int u = 0; u < h_size; ++u) h[u] = zb[3 * h_size + u] * h[u];
-      outputs[b].push_back(std::move(h_new));
-      h_prev[b] = outputs[b].back().data();
-    }
-  }
-  return outputs;
-}
-
 std::vector<Tensor> Lstm::backward(const std::vector<Tensor>& grad_outputs) {
   if (steps_.size() != grad_outputs.size()) {
     throw std::logic_error("Lstm::backward: cache/grad length mismatch");

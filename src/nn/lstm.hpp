@@ -40,17 +40,6 @@ class Lstm {
   // accumulates parameter gradients.
   std::vector<Tensor> backward(const std::vector<Tensor>& grad_outputs);
 
-  // Evaluation-only batched forward over equal-length sequences:
-  // outputs[b][t] = h_t for *seqs[b], from zero initial state. Each timestep
-  // runs ONE gemm_bias over the packed [batch, I+H] inputs instead of
-  // `batch` m=1 GEMMs — the serving micro-batch path. Under the reference
-  // backend the result is bitwise-identical to calling forward(·, false)
-  // per sequence (each output row of gemm_bias depends only on its input
-  // row).
-  // Keeps no caches; backward() after this throws on the cache mismatch.
-  std::vector<std::vector<Tensor>> forward_batch(
-      const std::vector<const std::vector<Tensor>*>& seqs);
-
   std::vector<Param*> params() { return {&weight_, &bias_}; }
   void clear_cache() { steps_.clear(); }
 

@@ -2,8 +2,8 @@
 // something for it, without a lock and without missing a wake-up.
 //
 // The serve layer gives each waiting thread one WakeEpoch per thing it waits
-// for (a worker's ingest rings, the NN thread's request rings, a full ring's
-// free space). The epoch is a counter; the protocol is
+// for (a worker's ingest rings, a full ring's free space). The epoch is a
+// counter; the protocol is
 //
 //   producer:  publish (e.g. SpscQueue::try_push)   then  notify()
 //   consumer:  seen = load();  scan for work;  if none: wait(seen)

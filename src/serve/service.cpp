@@ -10,13 +10,6 @@
 
 namespace m2ai::serve {
 
-namespace {
-// Flow ids shared by the DSP-side "serve.request" origin and the NN-side
-// target so Perfetto draws an arrow from each window close to its
-// prediction. Offset keeps them clear of other flow id spaces.
-constexpr std::uint64_t kFlowBase = 0x5e12'0000'0000'0000ULL;
-}  // namespace
-
 Service::Service(ServeConfig serve, core::PipelineConfig pipeline,
                  std::unique_ptr<core::M2AINetwork> network)
     : serve_(serve), pipeline_(pipeline), network_(std::move(network)) {
@@ -69,15 +62,16 @@ void Service::start() {
   // joinable std::thread terminates the process.
   if (finished_) throw std::logic_error("Service::start: already finished");
   started_ = true;
-  const int workers = serve_.dsp_workers;
-  for (Worker& w : workers_) {
-    w.network = network_->clone();
-    w.requests = std::make_unique<par::SpscQueue<Request>>(serve_.request_capacity);
-    w.frames = &obs::registry().counter("serve.frames");
+  auto& reg = obs::registry();
+  frames_counter_ = &reg.counter("serve.frames");
+  predictions_counter_ = &reg.counter("serve.predictions");
+  e2e_ = &reg.histogram("serve.e2e_ms");
+  // Every worker but the last runs a clone; the last takes the network.
+  for (std::size_t w = 0; w < workers_.size(); ++w) {
+    workers_[w].network = w + 1 < workers_.size() ? network_->clone() : std::move(network_);
   }
-  nn_thread_ = std::thread([this] { nn_loop(); });
-  dsp_threads_.reserve(static_cast<std::size_t>(workers));
-  for (int w = 0; w < workers; ++w) {
+  dsp_threads_.reserve(workers_.size());
+  for (int w = 0; w < serve_.dsp_workers; ++w) {
     dsp_threads_.emplace_back([this, w] { dsp_loop(w); });
   }
 }
@@ -116,9 +110,6 @@ void Service::finish() {
   for (auto& s : streams_) s->producer_done.store(true, std::memory_order_release);
   for (Worker& w : workers_) w.work.notify();
   for (auto& t : dsp_threads_) t.join();
-  // All workers have flushed and bumped workers_done_; the NN thread exits
-  // once every request ring is empty.
-  nn_thread_.join();
   // Producers are done (finish() contract), so the wire parsers are safe to
   // close from here: a buffered partial frame becomes truncated_bytes.
   for (auto& s : streams_) s->parser.finish();
@@ -134,7 +125,6 @@ void Service::finish() {
   reg.gauge("serve.snapshots").set(static_cast<double>(st.snapshots));
   reg.gauge("serve.frames").set(static_cast<double>(st.frames));
   reg.gauge("serve.predictions_total").set(static_cast<double>(st.predictions));
-  reg.gauge("serve.batches").set(static_cast<double>(st.batches));
   proto::publish_stats(st.wire);
 }
 
@@ -156,46 +146,41 @@ ServiceStats Service::stats() const {
   }
   st.frames = frames_total_.load(std::memory_order_relaxed);
   st.predictions = predictions_total_.load(std::memory_order_relaxed);
-  st.batches = batches_total_.load(std::memory_order_relaxed);
+  st.batches = st.predictions;
   return st;
 }
 
-void Service::on_frames(int stream_index, Worker& worker,
+void Service::on_frames(Stream& s, Worker& worker,
                         const std::vector<core::SpectrumFrame>& frames,
                         std::uint64_t enqueue_ns) {
-  Stream& s = *streams_[static_cast<std::size_t>(stream_index)];
   const auto seq_len = static_cast<std::size_t>(sequence_frames_);
   for (const core::SpectrumFrame& frame : frames) {
     // The CNN runs here, once per frame; every window holding the frame
     // reuses its features.
     s.recent.push_back(worker.network->frame_features(frame));
-    if (s.recent.size() > seq_len) s.recent.pop_front();
+    if (s.recent.size() > seq_len) s.recent.erase(s.recent.begin());
     ++s.frames_closed;
     frames_total_.fetch_add(1, std::memory_order_relaxed);
-    worker.frames->add();
-    if (s.recent.size() == seq_len) request_prediction(stream_index, worker, enqueue_ns);
+    frames_counter_->add();
+    if (s.recent.size() == seq_len) predict_window(s, worker, enqueue_ns);
   }
 }
 
-void Service::request_prediction(int stream_index, Worker& worker,
-                                 std::uint64_t enqueue_ns) {
-  Stream& s = *streams_[static_cast<std::size_t>(stream_index)];
-  Request request;
-  request.stream = stream_index;
-  request.frame_index = s.frames_closed - 1;
-  request.enqueue_ns = enqueue_ns;
-  request.flow = kFlowBase + flow_seq_.fetch_add(1, std::memory_order_relaxed);
-  request.features.assign(s.recent.begin(), s.recent.end());
-  s.requested_any = true;
-  obs::timeline_flow_start("serve.request", request.flow);
-  // Backpressure: a full request ring stalls this DSP worker (and, as its
-  // ingest rings fill, eventually the producers) instead of dropping work.
-  for (;;) {
-    const std::uint32_t seen = worker.request_space.load();
-    if (worker.requests->try_push(std::move(request))) break;
-    worker.request_space.wait(seen);
+void Service::predict_window(Stream& s, Worker& worker, std::uint64_t enqueue_ns) {
+  int label = 0;
+  {
+    obs::ScopedSpan span("serve.predict");
+    label = core::M2AINetwork::argmax_class(
+        worker.network->predict_proba_from_features(s.recent));
   }
-  nn_wake_.notify();
+  const double latency_ms =
+      static_cast<double>(obs::timeline_now_ns() - enqueue_ns) / 1e6;
+  // record_always: ServiceStats and the bench summary need the latency
+  // distribution even when the obs switch is off.
+  e2e_->record_always(latency_ms);
+  predictions_counter_->add();
+  predictions_total_.fetch_add(1, std::memory_order_relaxed);
+  s.predictions.push_back(Prediction{s.frames_closed - 1, label, latency_ms});
 }
 
 void Service::dsp_loop(int worker) {
@@ -219,8 +204,7 @@ void Service::dsp_loop(int worker) {
       // worker's other streams.
       int budget = 256;
       for (; budget > 0 && s.ingest->try_pop(sr); --budget) {
-        on_frames(static_cast<int>(i), self, s.assembler->ingest(sr.report),
-                  sr.enqueue_ns);
+        on_frames(s, self, s.assembler->ingest(sr.report), sr.enqueue_ns);
       }
       if (budget < 256) {
         idle = false;
@@ -240,73 +224,8 @@ void Service::dsp_loop(int worker) {
     if (!owns(i)) continue;
     Stream& s = *streams_[i];
     const std::uint64_t now = obs::timeline_now_ns();
-    on_frames(static_cast<int>(i), self, s.assembler->flush(), now);
-    if (!s.requested_any && !s.recent.empty()) {
-      request_prediction(static_cast<int>(i), self, now);
-    }
-  }
-  workers_done_.fetch_add(1, std::memory_order_release);
-  nn_wake_.notify();
-}
-
-void Service::nn_loop() {
-  obs::register_thread_name("serve-nn");
-  obs::Histogram& e2e = obs::registry().histogram("serve.e2e_ms");
-  obs::Counter& predictions = obs::registry().counter("serve.predictions");
-  std::vector<Request> batch;
-  // The worker drained first rotates every wake: with a fixed order, a
-  // saturated NN thread would fill each batch from worker 0 and starve the
-  // others' rings.
-  std::size_t first = 0;
-  for (;;) {
-    const std::uint32_t seen = nn_wake_.load();  // before the scan, as in dsp_loop
-    batch.clear();
-    for (std::size_t k = 0; k < workers_.size() && batch.size() < serve_.max_batch; ++k) {
-      Worker& w = workers_[(first + k) % workers_.size()];
-      const std::size_t before = batch.size();
-      Request r;
-      while (batch.size() < serve_.max_batch && w.requests->try_pop(r)) {
-        batch.push_back(std::move(r));
-      }
-      // A worker blocked in request_prediction is woken once its ring is at
-      // most half full, not after every pop: at saturation this thread is
-      // the bottleneck, and a wake per batch costs it a futex syscall.
-      if (batch.size() > before && w.requests->size_approx() <= w.requests->capacity() / 2) {
-        w.request_space.notify();
-      }
-    }
-    first = (first + 1) % workers_.size();
-    if (batch.empty()) {
-      if (workers_done_.load(std::memory_order_acquire) == serve_.dsp_workers) {
-        bool drained = true;
-        for (Worker& w : workers_) drained = drained && w.requests->empty_approx();
-        if (drained) break;
-      }
-      nn_wake_.wait(seen);
-      continue;
-    }
-    obs::ScopedSpan span("serve.nn_batch");
-    span.arg("requests", static_cast<std::int64_t>(batch.size()));
-    batches_total_.fetch_add(1, std::memory_order_relaxed);
-    std::vector<const core::FeatureSequence*> seqs;
-    seqs.reserve(batch.size());
-    for (const Request& r : batch) seqs.push_back(&r.features);
-    const std::vector<std::vector<double>> probs =
-        network_->predict_proba_from_features(seqs);
-    for (std::size_t bi = 0; bi < batch.size(); ++bi) {
-      const Request& request = batch[bi];
-      obs::timeline_flow_end("serve.request", request.flow);
-      const double latency_ms =
-          static_cast<double>(obs::timeline_now_ns() - request.enqueue_ns) / 1e6;
-      // record_always: ServiceStats and the bench summary need the latency
-      // distribution even when the obs switch is off.
-      e2e.record_always(latency_ms);
-      predictions.add();
-      predictions_total_.fetch_add(1, std::memory_order_relaxed);
-      streams_[static_cast<std::size_t>(request.stream)]->predictions.push_back(
-          Prediction{request.frame_index,
-                     core::M2AINetwork::argmax_class(probs[bi]), latency_ms});
-    }
+    on_frames(s, self, s.assembler->flush(), now);
+    if (s.predictions.empty() && !s.recent.empty()) predict_window(s, self, now);
   }
 }
 

@@ -1,10 +1,11 @@
 // Online inference service: many report streams -> one M2AINetwork.
 //
-// Topology (all channels are bounded lock-free SPSC rings, par/spsc_queue):
+// Topology (the ingest channels are bounded lock-free SPSC rings,
+// par/spsc_queue):
 //
-//   producer threads          DSP workers                 NN thread
-//   (one per stream) --ring-> (stream s owned by          (LSTM stack +
-//                              worker s % K; CNN) --ring-> head)
+//   producer threads           DSP workers
+//   (one per stream) --ring->  (stream s owned by worker s % K: assembly,
+//                               CNN per frame, LSTM stack + head per window)
 //
 // Each DSP worker owns a disjoint set of streams and its own clone of the
 // network: it drains their ingest rings, feeds the per-stream
@@ -12,39 +13,35 @@
 // per-frame CNN (M2AINetwork::frame_features: the one-frame case of the
 // frame-minor batch that offline predict runs per sequence, bitwise equal
 // to that sequence's column) once on every closed frame, keeps the
-// features of the last T frames, and — every time a window closes
-// with a full sequence available — enqueues an inference request carrying
-// those T feature vectors (T x 48 floats) on its private ring to the NN
-// thread. The NN thread drains the worker rings in micro-batches (up to
-// max_batch requests per wake) and runs only the LSTM stack and the head
-// (predict_proba_from_features), so one network serves hundreds of streams
+// features of the last T frames, and — every time a window closes with a
+// full sequence available — runs the LSTM stack and the head over those T
+// feature vectors (predict_proba_from_features) and appends the label to
+// the stream's predictions. One thread kind serves hundreds of streams
 // without a lock anywhere on the steady-state path.
 //
 // Determinism: a stream's predictions depend only on its own report
 // sequence — assembly is per-stream state, a frame's features depend on that
-// frame alone, each row of a predict_proba_from_features() call is
-// independent of the rows beside it, and the single NN thread serializes
-// calls — so the labels for N streams replaying the same reports are
-// identical at any worker count or stream count, and equal offline
-// M2AINetwork::predict on the same frames
-// (ServeService.DeterministicAcrossStreamCountsAndMatchesOffline,
+// frame alone, and a window's label depends on that window's T feature
+// vectors alone, computed on a network whose weights equal the service's — so
+// the labels for N streams replaying the same reports are identical at any
+// worker count or stream count, and equal offline M2AINetwork::predict on
+// the same frames (ServeService.DeterministicAcrossStreamCountsAndMatchesOffline,
 // ServeService.SlidingWindowsMatchOfflineSlices).
 //
 // Latency accounting: every report is stamped at enqueue; a prediction's
 // end-to-end latency runs from the stamp of the report that closed its
-// window to the moment its micro-batch's NN call returns, recorded in the
+// window to the moment the worker's predict call returns, recorded in the
 // "serve.e2e_ms" histogram (recorded even when the obs switch is off, so
 // ServiceStats is always meaningful).
 //
-// Idle threads sleep: every thread that can wait for another — a DSP worker
-// for reports, the NN thread for requests, a producer or a DSP worker for
-// space on a full ring — blocks on a par::WakeEpoch that the thread on the
-// other end of the ring bumps, so an idle service uses no CPU (DESIGN.md §9).
+// Idle threads sleep: a DSP worker waiting for reports and a producer
+// waiting for space on a full ring each block on a par::WakeEpoch that the
+// thread on the other end of the ring bumps, so an idle service uses no CPU
+// (DESIGN.md §9).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -59,13 +56,10 @@
 namespace m2ai::serve {
 
 struct ServeConfig {
-  int dsp_workers = 2;
+  int dsp_workers = 3;
   // Frames per inference sequence; 0 uses pipeline.windows_per_sample.
   int sequence_frames = 0;
-  // NN micro-batch: max requests drained per wake of the NN thread.
-  std::size_t max_batch = 8;
-  std::size_t ingest_capacity = 4096;   // per-stream report ring
-  std::size_t request_capacity = 256;   // per-worker request ring
+  std::size_t ingest_capacity = 4096;  // per-stream report ring
 };
 
 struct Prediction {
@@ -76,8 +70,8 @@ struct Prediction {
 
 // Aggregate over every per-stream assembler (all AssemblerStats fields — a
 // reject that is counted per stream but lost in the aggregate is still a
-// silent drop end to end) plus the NN-side totals and, when byte ingest is
-// used, the per-stream wire parsers.
+// silent drop end to end) plus the frame and prediction totals and, when
+// byte ingest is used, the per-stream wire parsers.
 struct ServiceStats {
   std::uint64_t reports = 0;
   std::uint64_t late_dropped = 0;
@@ -85,7 +79,8 @@ struct ServiceStats {
   std::uint64_t snapshots = 0;
   std::uint64_t frames = 0;
   std::uint64_t predictions = 0;
-  std::uint64_t batches = 0;  // NN wakes that processed >= 1 request
+  // Prediction calls: one per prediction, so always equal to predictions.
+  std::uint64_t batches = 0;
   // Wire ingest (push_bytes): summed proto::FrameParser stats. All zero when
   // every stream pushed in-memory reports.
   proto::ParserStats wire;
@@ -142,19 +137,9 @@ class Service {
     sim::TagReport report;
     std::uint64_t enqueue_ns = 0;
   };
-  struct Request {
-    int stream = 0;
-    std::size_t frame_index = 0;
-    std::uint64_t enqueue_ns = 0;
-    std::uint64_t flow = 0;  // timeline flow arrow: window close -> prediction
-    core::FeatureSequence features;  // T frames' frame_features, oldest first
-  };
   struct Worker {
-    std::unique_ptr<core::M2AINetwork> network;  // runs frame_features only
-    std::unique_ptr<par::SpscQueue<Request>> requests;  // to the NN thread
-    obs::Counter* frames = nullptr;  // "serve.frames", resolved once
-    par::WakeEpoch work;           // bumped by offer() on owned streams, finish()
-    par::WakeEpoch request_space;  // bumped by the NN thread as the ring drains
+    std::unique_ptr<core::M2AINetwork> network;  // runs every NN stage
+    par::WakeEpoch work;  // bumped by offer() on owned streams, finish()
   };
   struct Stream {
     std::unique_ptr<StreamAssembler> assembler;
@@ -165,22 +150,18 @@ class Service {
     std::vector<sim::TagReport> parse_buf;
     std::atomic<bool> producer_done{false};
     par::WakeEpoch space;  // bumped by the DSP worker after popping reports
-    // DSP-worker-private sliding sequence state: the features of the last
-    // (at most T) closed frames.
-    std::deque<nn::Tensor> recent;
+    // DSP-worker-private until finish(): the features of the last (at most
+    // T) closed frames, oldest first, and the predictions made so far.
+    core::FeatureSequence recent;
     std::size_t frames_closed = 0;
-    bool requested_any = false;
-    // NN-thread-private until finish().
     std::vector<Prediction> predictions;
   };
 
   void dsp_loop(int worker);
-  void nn_loop();
-  void on_frames(int stream_index, Worker& worker,
+  void on_frames(Stream& s, Worker& worker,
                  const std::vector<core::SpectrumFrame>& frames,
                  std::uint64_t enqueue_ns);
-  void request_prediction(int stream_index, Worker& worker,
-                          std::uint64_t enqueue_ns);
+  void predict_window(Stream& s, Worker& worker, std::uint64_t enqueue_ns);
 
   ServeConfig serve_;
   core::PipelineConfig pipeline_;
@@ -190,16 +171,15 @@ class Service {
   std::vector<std::unique_ptr<Stream>> streams_;
   std::vector<Worker> workers_;
   std::vector<std::thread> dsp_threads_;
-  std::thread nn_thread_;
-  std::atomic<int> workers_done_{0};
-  par::WakeEpoch nn_wake_;  // bumped per request pushed and per worker exit
   bool started_ = false;
   bool finished_ = false;
+  // Registry handles, resolved once in start().
+  obs::Counter* frames_counter_ = nullptr;       // "serve.frames"
+  obs::Counter* predictions_counter_ = nullptr;  // "serve.predictions"
+  obs::Histogram* e2e_ = nullptr;                // "serve.e2e_ms"
 
   std::atomic<std::uint64_t> frames_total_{0};
   std::atomic<std::uint64_t> predictions_total_{0};
-  std::atomic<std::uint64_t> batches_total_{0};
-  std::atomic<std::uint64_t> flow_seq_{0};
 };
 
 }  // namespace m2ai::serve

@@ -80,37 +80,10 @@ TEST_P(AllArchitectures, GradientsAccumulate) {
   EXPECT_GT(grad_norm, 0.0);
 }
 
-// Every prediction comes from predict_proba_batch, and predict_proba is a
-// batch of one: a sequence's probabilities must not depend on the sequences
-// sharing its call, under the epsilon-equivalent fast kernels as well.
-TEST_P(AllArchitectures, PredictProbaEqualsItsBatchRowBitwise) {
-  struct BackendGuard {
-    kern::BackendKind saved = kern::active_backend_kind();
-    ~BackendGuard() { kern::set_backend(saved); }
-  } guard;
-  util::Rng rng(6);
-  ModelConfig m;
-  m.arch = GetParam();
-  M2AINetwork net(m, FeatureMode::kM2AI, kTags, kAntennas, kClasses);
-  const Sample x = random_sample(FeatureMode::kM2AI, 6, 0, rng);
-  const Sample y = random_sample(FeatureMode::kM2AI, 6, 1, rng);
-  const Sample z = random_sample(FeatureMode::kM2AI, 6, 2, rng);
-  for (const kern::BackendKind kind :
-       {kern::BackendKind::kReference, kern::BackendKind::kFast}) {
-    if (kern::set_backend(kind) != kind) continue;  // fast unsupported here
-    const std::vector<double> alone = net.predict_proba(x.frames);
-    const std::vector<double> row =
-        net.predict_proba_batch({&x.frames, &y.frames, &z.frames})[0];
-    ASSERT_EQ(alone.size(), row.size());
-    for (std::size_t c = 0; c < alone.size(); ++c) {
-      EXPECT_EQ(alone[c], row[c]) << kern::active_backend_name() << ", class " << c;
-    }
-  }
-}
-
-// predict_proba_batch is exactly frame_features per frame, then
-// predict_proba_from_features: the split the serving path runs across its
-// DSP workers and NN thread must not move a bit under the reference backend.
+// predict_proba is exactly frame_features per frame, then
+// predict_proba_from_features: the split the serving path runs on its DSP
+// workers (the CNN as each frame closes, the rest as each window closes)
+// must not move a bit under the reference backend.
 TEST_P(AllArchitectures, FeaturesThenPredictEqualsPredictProbaBatchBitwise) {
   struct BackendGuard {
     kern::BackendKind saved = kern::active_backend_kind();
@@ -121,27 +94,15 @@ TEST_P(AllArchitectures, FeaturesThenPredictEqualsPredictProbaBatchBitwise) {
   ModelConfig m;
   m.arch = GetParam();
   M2AINetwork net(m, FeatureMode::kM2AI, kTags, kAntennas, kClasses);
-  // Mixed lengths exercise the per-length LSTM groups.
-  const Sample x = random_sample(FeatureMode::kM2AI, 6, 0, rng);
-  const Sample y = random_sample(FeatureMode::kM2AI, 4, 1, rng);
-  const Sample z = random_sample(FeatureMode::kM2AI, 6, 2, rng);
-  const std::vector<const FrameSequence*> frames = {&x.frames, &y.frames, &z.frames};
-  const std::vector<std::vector<double>> want = net.predict_proba_batch(frames);
-
-  std::vector<FeatureSequence> features(frames.size());
-  std::vector<const FeatureSequence*> ptrs;
-  for (std::size_t i = 0; i < frames.size(); ++i) {
-    for (const SpectrumFrame& f : *frames[i]) {
-      features[i].push_back(net.frame_features(f));
-    }
-    ptrs.push_back(&features[i]);
-  }
-  const std::vector<std::vector<double>> got = net.predict_proba_from_features(ptrs);
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    ASSERT_EQ(got[i].size(), want[i].size());
-    for (std::size_t c = 0; c < want[i].size(); ++c) {
-      EXPECT_EQ(got[i][c], want[i][c]) << "sequence " << i << ", class " << c;
+  for (const int t_len : {20, 7, 6, 4, 1}) {
+    const Sample x = random_sample(FeatureMode::kM2AI, t_len, 0, rng);
+    const std::vector<double> want = net.predict_proba(x.frames);
+    FeatureSequence features;
+    for (const SpectrumFrame& f : x.frames) features.push_back(net.frame_features(f));
+    const std::vector<double> got = net.predict_proba_from_features(features);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t c = 0; c < want.size(); ++c) {
+      EXPECT_EQ(got[c], want[c]) << "T=" << t_len << ", class " << c;
     }
   }
 }
@@ -186,10 +147,10 @@ TEST_P(AllArchitectures, TrainStepMatchesPerFrameRestatementBitwise) {
 }
 
 // Inference runs each sequence's CNN and head once, as a batch:
-// predict_proba_batch equals the per-frame, per-step loop, and equals
-// per-frame frame_features (the serving path's one-frame batch) followed by
+// predict_proba equals the per-frame, per-step loop, and equals per-frame
+// frame_features (the serving path's one-frame batch) followed by
 // predict_proba_from_features — the identity behind serving's agreement with
-// offline labels. Paper-sized engine, sequences of 20, 1 and 7 frames.
+// offline labels. Paper-sized engine, sequences of 20, 7, 6, 4 and 1 frames.
 TEST_P(AllArchitectures, SequenceBatchEqualsPerFrameInferenceBitwise) {
   struct BackendGuard {
     kern::BackendKind saved = kern::active_backend_kind();
@@ -203,25 +164,18 @@ TEST_P(AllArchitectures, SequenceBatchEqualsPerFrameInferenceBitwise) {
     m.arch = GetParam();
     M2AINetwork net(m, mode, kTags, kAntennas, kClasses);
     testing::PerFrameNetwork ref(net, mode, kTags, kAntennas, kClasses, util::Rng(1));
-    const Sample x = random_sample(mode, 20, 0, rng);
-    const Sample y = random_sample(mode, 1, 1, rng);
-    const Sample z = random_sample(mode, 7, 2, rng);
-    const std::vector<const FrameSequence*> frames = {&x.frames, &y.frames, &z.frames};
-    const std::vector<std::vector<double>> batch = net.predict_proba_batch(frames);
-
-    std::vector<FeatureSequence> features(frames.size());
-    std::vector<const FeatureSequence*> ptrs;
-    for (std::size_t i = 0; i < frames.size(); ++i) {
-      for (const SpectrumFrame& f : *frames[i]) features[i].push_back(net.frame_features(f));
-      ptrs.push_back(&features[i]);
-    }
-    const std::vector<std::vector<double>> served = net.predict_proba_from_features(ptrs);
-    for (std::size_t i = 0; i < frames.size(); ++i) {
-      const std::vector<double> want = ref.predict_proba(*frames[i]);
-      ASSERT_EQ(batch[i].size(), want.size());
+    for (const int t_len : {20, 7, 6, 4, 1}) {
+      const Sample x = random_sample(mode, t_len, 0, rng);
+      const std::vector<double> batch = net.predict_proba(x.frames);
+      FeatureSequence features;
+      for (const SpectrumFrame& f : x.frames) features.push_back(net.frame_features(f));
+      const std::vector<double> served = net.predict_proba_from_features(features);
+      const std::vector<double> want = ref.predict_proba(x.frames);
+      ASSERT_EQ(batch.size(), want.size());
+      ASSERT_EQ(served.size(), want.size());
       for (std::size_t c = 0; c < want.size(); ++c) {
-        EXPECT_EQ(batch[i][c], want[c]) << feature_mode_name(mode) << " seq " << i << " class " << c;
-        EXPECT_EQ(served[i][c], want[c]) << feature_mode_name(mode) << " seq " << i << " class " << c;
+        EXPECT_EQ(batch[c], want[c]) << feature_mode_name(mode) << " T=" << t_len << " class " << c;
+        EXPECT_EQ(served[c], want[c]) << feature_mode_name(mode) << " T=" << t_len << " class " << c;
       }
     }
   }

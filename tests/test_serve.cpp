@@ -8,11 +8,11 @@
 //     a real simulated report stream, for the spectral and the ablation
 //     feature modes;
 //   * Service — end-to-end determinism: N streams replaying a sample give
-//     the offline prediction for that sample, independent of stream count,
-//     worker count, and batch size; every sliding window of a long stream
-//     gives the offline prediction for its T-frame slice, also when reports
-//     trickle in one at a time; an idle service sleeps; and its
-//     start/finish lifecycle.
+//     the offline prediction for that sample, independent of stream count
+//     and worker count; every sliding window of a long stream gives the
+//     offline prediction for its T-frame slice, also when reports trickle in
+//     one at a time; an idle service sleeps; it starts one thread per DSP
+//     worker; and its start/finish lifecycle.
 //
 // A lost wake-up leaves a thread asleep for good, so the tests that could
 // meet one run under a Watchdog, which turns the hang into a failure.
@@ -26,7 +26,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
+#include <filesystem>
 #include <functional>
+#include <iterator>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -356,7 +358,6 @@ TEST(ServeService, DeterministicAcrossStreamCountsAndMatchesOffline) {
   for (const int num_streams : {1, 64}) {
     m2ai::serve::ServeConfig serve_config;
     serve_config.dsp_workers = 3;
-    serve_config.max_batch = 4;
     m2ai::serve::Service service(serve_config, config, reference.clone());
     for (int s = 0; s < num_streams; ++s) {
       service.add_stream(runs[static_cast<std::size_t>(s % 2)].calibrator.get(), t0);
@@ -400,8 +401,7 @@ TEST(ServeService, DeterministicAcrossStreamCountsAndMatchesOffline) {
 // Every label must equal offline predict on the matching T-frame slice of
 // the batch frames, at one worker and at several, and when the reports
 // trickle in: one report per push with a pause after each, long enough for
-// the DSP workers and the NN thread to fall asleep, so every report has to
-// wake them.
+// the DSP workers to fall asleep, so every report has to wake them.
 TEST(ServeService, SlidingWindowsMatchOfflineSlices) {
   m2ai::core::PipelineConfig config;
   config.windows_per_sample = 9;
@@ -439,7 +439,6 @@ TEST(ServeService, SlidingWindowsMatchOfflineSlices) {
     m2ai::serve::ServeConfig serve_config;
     serve_config.dsp_workers = workers;
     serve_config.sequence_frames = kSeq;
-    serve_config.max_batch = 4;
     const int num_streams = 6;
     m2ai::serve::Service service(serve_config, config, reference.clone());
     for (int s = 0; s < num_streams; ++s) {
@@ -503,7 +502,7 @@ TEST(ServeService, SlidingWindowsMatchOfflineSlices) {
 // End-to-end contract of the fast kernel backend: serving under
 // --backend fast yields the same activity labels as the offline reference
 // prediction. The fast path is epsilon-equivalent (SIMD/FMA reassociation in
-// both the MUSIC projection and the batched NN), so label equality is only
+// both the MUSIC projection and the NN kernels), so label equality is only
 // asserted where the reference posterior's top-2 margin is comfortably wider
 // than the kernel tolerance — a near-tie flipping is not a backend bug.
 TEST(ServeService, FastBackendMatchesReferenceLabels) {
@@ -534,13 +533,12 @@ TEST(ServeService, FastBackendMatchesReferenceLabels) {
     margin.push_back(proba.size() > 1 ? proba[0] - proba[1] : 1.0);
   }
 
-  // Enough streams that the nn loop forms multi-request batches, so the
-  // batched gemm runs with more than one row.
+  // Enough streams that every worker predicts several of them on its own
+  // network under the fast kernels.
   m2ai::kern::set_backend(m2ai::kern::BackendKind::kFast);
   const int num_streams = 16;
   m2ai::serve::ServeConfig serve_config;
   serve_config.dsp_workers = 3;
-  serve_config.max_batch = 4;
   m2ai::serve::Service service(serve_config, config, reference.clone());
   for (int s = 0; s < num_streams; ++s) {
     service.add_stream(runs[static_cast<std::size_t>(s % 2)].calibrator.get(), t0);
@@ -588,7 +586,6 @@ TEST(ServeService, ManyStreamsFewWorkersDrainCleanly) {
   m2ai::serve::ServeConfig serve_config;
   serve_config.dsp_workers = 2;
   serve_config.ingest_capacity = 64;  // tiny rings force backpressure
-  serve_config.request_capacity = 2;
   const int num_streams = 9;
   m2ai::serve::Service service(serve_config, config, std::move(network));
   for (int s = 0; s < num_streams; ++s) {
@@ -616,8 +613,8 @@ TEST(ServeService, ManyStreamsFewWorkersDrainCleanly) {
 }
 
 // An idle service sleeps: with streams registered and no report arriving,
-// its DSP workers and NN thread block on their wake epochs. Spinning, they
-// would burn about one core each.
+// its DSP workers block on their wake epochs. Spinning, they would burn
+// about one core each.
 TEST(ServeService, IdleServiceSleeps) {
   m2ai::core::PipelineConfig config;
   m2ai::core::ModelConfig model_config;
@@ -642,6 +639,42 @@ TEST(ServeService, IdleServiceSleeps) {
     service.finish();
   }
   EXPECT_LT(cpu_s / wall_s, 0.10) << cpu_s << " CPU s over " << wall_s << " s idle";
+}
+
+// Serving runs on one thread kind: start() adds exactly one thread per DSP
+// worker, and finish() joins every one of them.
+TEST(ServeService, StartsOneThreadPerWorker) {
+  if (!std::filesystem::is_directory("/proc/self/task")) {
+    GTEST_SKIP() << "no /proc/self/task";
+  }
+  const auto threads = [] {
+    const std::filesystem::directory_iterator tasks("/proc/self/task");
+    return static_cast<int>(std::distance(begin(tasks), end(tasks)));
+  };
+  m2ai::core::PipelineConfig config;
+  m2ai::core::ModelConfig model_config;
+  for (const int workers : {1, 3}) {
+    auto network = std::make_unique<m2ai::core::M2AINetwork>(
+        model_config, config.feature_mode, config.num_persons * config.tags_per_person,
+        config.num_antennas, 12);
+    m2ai::serve::ServeConfig serve_config;
+    serve_config.dsp_workers = workers;
+    m2ai::serve::Service service(serve_config, config, std::move(network));
+    for (int s = 0; s < 4; ++s) service.add_stream(nullptr, 0.0);
+    const int before = threads();
+    service.start();
+    EXPECT_EQ(threads() - before, workers) << workers << " workers";
+    {
+      Watchdog watchdog("StartsOneThreadPerWorker finish", kWatchdogLimit);
+      service.finish();
+    }
+    // A joined thread can stay listed for a moment after join() returns.
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (threads() != before && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_EQ(threads(), before) << workers << " workers";
+  }
 }
 
 // finish() before start() ends the service for good. start() must refuse:

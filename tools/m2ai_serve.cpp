@@ -5,8 +5,9 @@
 // samples, each with its own calibrator), paced at --rate reports/sec/stream
 // (0 = as fast as possible), for --duration wall seconds or --samples full
 // sample replays per stream, whichever the flags select. All reports flow
-// through serve::Service (SPSC ingest rings -> DSP workers -> micro-batched
-// NN thread) and the run ends with a latency/throughput summary:
+// through serve::Service (SPSC ingest rings -> DSP workers, each running
+// the whole network for its streams) and the run ends with a
+// latency/throughput summary:
 //
 //   m2ai_serve --streams 100 --rate 2000 --duration 5 --workers 4
 //              --bench-out bench_results/BENCH_serve.json
@@ -46,7 +47,7 @@ namespace {
 int usage() {
   std::fprintf(stderr,
                "usage: m2ai_serve [--streams N] [--rate HZ] [--duration S]\n"
-               "                  [--samples K] [--workers W] [--batch B]\n"
+               "                  [--samples K] [--workers W]\n"
                "                  [--producers P] [--activities A] [--windows T]\n"
                "                  [--persons P] [--tags T] [--seed S] [--wire]\n"
                "                  [--wire-records R] [--backend ref|fast]\n"
@@ -56,8 +57,7 @@ int usage() {
                "  --rate HZ      reports/sec per stream, 0 = unthrottled (default 0)\n"
                "  --duration S   wall-clock budget in seconds, 0 = no limit (default 0)\n"
                "  --samples K    sample replays per stream (default 1)\n"
-               "  --workers W    DSP worker threads (default 2)\n"
-               "  --batch B      NN micro-batch size (default 8)\n"
+               "  --workers W    DSP worker threads (default %d)\n"
                "  --producers P  producer threads (default min(streams, 4))\n"
                "  --wire         serialize reports to JRD-4035-style frames and\n"
                "                 ingest via the wire-protocol parser (src/proto)\n"
@@ -65,7 +65,8 @@ int usage() {
                "  --backend B    kernel backend for inference: ref (default,\n"
                "                 bitwise-deterministic) or fast (SIMD; falls\n"
                "                 back to ref without AVX2/FMA).\n"
-               "                 Env override: M2AI_KERN_BACKEND\n");
+               "                 Env override: M2AI_KERN_BACKEND\n",
+               serve::ServeConfig{}.dsp_workers);
   return 2;
 }
 
@@ -89,9 +90,9 @@ int main(int argc, char** argv) {
   const util::Args args(argc, argv);
   try {
     args.require_known({"streams", "rate", "duration", "samples", "workers",
-                        "batch", "producers", "activities", "windows", "persons",
-                        "tags", "seed", "wire", "wire-records", "backend",
-                        "bench-out", "metrics-out", "trace-out", "help"});
+                        "producers", "activities", "windows", "persons", "tags",
+                        "seed", "wire", "wire-records", "backend", "bench-out",
+                        "metrics-out", "trace-out", "help"});
   } catch (const std::exception& e) {
     std::fprintf(stderr, "m2ai_serve: %s\n", e.what());
     return usage();
@@ -126,8 +127,7 @@ int main(int argc, char** argv) {
   const char* backend_name = kern::active().name;
 
   serve::ServeConfig serve_config;
-  serve_config.dsp_workers = args.get_int("workers", 2);
-  serve_config.max_batch = static_cast<std::size_t>(args.get_int("batch", 8));
+  serve_config.dsp_workers = args.get_int("workers", serve_config.dsp_workers);
 
   core::PipelineConfig pipeline_config;
   pipeline_config.num_persons = args.get_int("persons", 2);
@@ -185,10 +185,8 @@ int main(int argc, char** argv) {
       std::max(1, std::min(args.get_int("producers", std::min(num_streams, 4)),
                            num_streams));
   std::printf(
-      "serving %d streams (%d producers, %d dsp workers, batch %zu, "
-      "backend %s)...\n",
-      num_streams, num_producers, serve_config.dsp_workers,
-      serve_config.max_batch, backend_name);
+      "serving %d streams (%d producers, %d dsp workers, backend %s)...\n",
+      num_streams, num_producers, serve_config.dsp_workers, backend_name);
 
   using clock = std::chrono::steady_clock;
   const auto t_start = clock::now();
@@ -322,7 +320,7 @@ int main(int argc, char** argv) {
       "done in %.2fs wall / %.2fs cpu (%.2f cores)\n"
       "  reports   sent %llu, assembled %llu, late-dropped %llu, "
       "invalid-dropped %llu\n"
-      "  frames    %llu closed, %llu predictions in %llu batches\n"
+      "  frames    %llu closed, %llu predictions\n"
       "  e2e       p50 %.3f ms, p99 %.3f ms, max %.3f ms\n"
       "  capacity  %.1f streams/core at this load\n"
       "  backend   %s: kern.%s.*.ns_per_op gemv %.0f, gemm_bias %.0f,\n"
@@ -332,8 +330,7 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(stats.late_dropped),
       static_cast<unsigned long long>(stats.invalid_dropped),
       static_cast<unsigned long long>(stats.frames),
-      static_cast<unsigned long long>(stats.predictions),
-      static_cast<unsigned long long>(stats.batches), e2e.p50, e2e.p99, e2e.max,
+      static_cast<unsigned long long>(stats.predictions), e2e.p50, e2e.p99, e2e.max,
       streams_per_core, backend_name, backend_name, kern_micro.gemv_ns,
       kern_micro.gemm_bias_ns, kern_micro.conv1d_row_ns,
       kern_micro.noise_projection_ns);
@@ -369,7 +366,7 @@ int main(int argc, char** argv) {
         "  \"backend\": \"%s\",\n"
         "  \"config\": {\"streams\": %d, \"rate_hz\": %g, \"duration_sec\": %g,\n"
         "             \"samples_per_stream\": %d, \"dsp_workers\": %d,\n"
-        "             \"max_batch\": %zu, \"windows_per_sample\": %d, \"seed\": %llu,\n"
+        "             \"windows_per_sample\": %d, \"seed\": %llu,\n"
         "             \"wire\": %s},\n"
         "  \"wall_sec\": %.6f,\n"
         "  \"cpu_sec\": %.6f,\n"
@@ -382,7 +379,6 @@ int main(int argc, char** argv) {
         "  \"wire_rejects\": %llu,\n"
         "  \"frames\": %llu,\n"
         "  \"predictions\": %llu,\n"
-        "  \"batches\": %llu,\n"
         "  \"reports_per_sec\": %.2f,\n"
         "  \"e2e_ms\": {\"p50\": %.6f, \"p95\": %.6f, \"p99\": %.6f, \"max\": %.6f},\n"
         "  \"kern_ns_per_op\": {\"gemv\": %.1f, \"gemm_bias\": %.1f,\n"
@@ -391,8 +387,7 @@ int main(int argc, char** argv) {
         "  \"sustained\": %s\n"
         "}\n",
         backend_name, num_streams, rate_hz, duration_sec, samples_per_stream,
-        serve_config.dsp_workers, serve_config.max_batch,
-        pipeline_config.windows_per_sample,
+        serve_config.dsp_workers, pipeline_config.windows_per_sample,
         static_cast<unsigned long long>(seed), wire ? "true" : "false",
         wall_sec, cpu_sec,
         static_cast<unsigned long long>(reports_sent),
@@ -405,7 +400,6 @@ int main(int argc, char** argv) {
                                         stats.wire.rejected_records()),
         static_cast<unsigned long long>(stats.frames),
         static_cast<unsigned long long>(stats.predictions),
-        static_cast<unsigned long long>(stats.batches),
         wall_sec > 0.0 ? static_cast<double>(reports_sent) / wall_sec : 0.0,
         e2e.p50, e2e.p95, e2e.p99, e2e.max, kern_micro.gemv_ns,
         kern_micro.gemm_bias_ns, kern_micro.conv1d_row_ns,
